@@ -10,6 +10,7 @@ from .errors import (
     CapExceeded,
     DomainError,
     IndexOutOfRange,
+    InvariantViolation,
     MismatchedSystem,
     NonTermination,
     NotStrictlyDominant,

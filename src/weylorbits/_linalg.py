@@ -17,20 +17,6 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
     """Matrix times column vector."""
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
@@ -43,14 +29,10 @@ def vec_mat(v: Sequence[Fraction], a: Matrix) -> Vector:
     )
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def mat_inv(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
     n = len(a)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, identity(n))]
+    aug = [list(row) + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 from .errors import (
     CapExceeded,
@@ -23,15 +24,8 @@ from .errors import (
     UnsupportedType,
 )
 from .root_system import RootSystem, factor_slices
-from .weights import (
-    Point,
-    coweight_coords,
-    fundamental_copoint,
-    point,
-    weight_to_point,
-    Weight,
-    zero_point,
-)
+from .weights import Point, Weight, weight_to_point, zero_point
+from .weyl import _scale, _unscale
 
 
 def reflect_r0(x: Point) -> Point:
@@ -60,15 +54,46 @@ def fundamental_vertices(rs: RootSystem) -> list[Point]:
 
 def in_fundamental_domain(x: Point) -> bool:
     """Membership of a point in the closed fundamental domain."""
-    rs = x.rs
-    for f, sl in factor_slices(rs):
-        b = x.coords[sl]
-        for j in range(f.rank):
-            if sum(f.cartan[j][k] * b[k] for k in range(f.rank)) < 0:
-                return False
-        if sum(a * v for a, v in zip(f.xi_omega, b)) > 1:
+    d, v = _scale(x.coords) if x.exact else (1, x.coords)
+    for f, sl in factor_slices(x.rs):
+        b = v[sl]
+        if min(sum(map(mul, row, b)) for row in f.cartan_int) < 0:
+            return False
+        if sum(int(a) * c for a, c in zip(f.xi_omega, b)) > d:
             return False
     return True
+
+
+def _reduce_scaled(rs: RootSystem, v: list, d: int) -> int:
+    """Carry ``v = d*x`` into ``d*F`` in place and count the steps; ``v``
+    holds ints for exact points, floats (with ``d = 1``) otherwise."""
+    steps = 0
+    for f, sl in factor_slices(rs):
+        b = v[sl]
+        for k in range(f.rank):
+            b[k] -= b[k] // d * d if d > 1 else math.floor(b[k])
+        xi = [int(a) for a in f.xi_omega]
+        budget = 10 * (f.rank + 1) * f.weyl_order
+        local = 0
+        while True:
+            pairs = [sum(map(mul, row, b)) for row in f.cartan_int]
+            low = min(pairs)
+            if low < 0:
+                b[pairs.index(low)] -= low
+            else:
+                level = sum(map(mul, xi, b))
+                if level <= d:
+                    break
+                shift = d - level
+                b = [c + shift * q for c, q in zip(b, f.comarks)]
+            local += 1
+            if local > budget:
+                raise NonTermination(
+                    f"reduction exceeded {budget} steps on factor {f.name}"
+                )
+        v[sl] = b
+        steps += local
+    return steps
 
 
 def reduce_to_fundamental(x: Point) -> tuple[Point, int]:
@@ -79,40 +104,10 @@ def reduce_to_fundamental(x: Point) -> tuple[Point, int]:
     pick the most negative simple pairing first, lowest index on ties,
     and fall back to the affine reflection while ``<x, xi> > 1``.
     """
-    rs = x.rs
-    coords = list(x.coords)
-    steps = 0
-    for f, sl in factor_slices(rs):
-        idx = range(sl.start, sl.stop)
-        for i in idx:
-            coords[i] -= math.floor(coords[i])
-        budget = 10 * (f.rank + 1) * f.weyl_order
-        local = 0
-        while True:
-            pairs = [
-                sum(f.cartan[j][k] * coords[sl.start + k] for k in range(f.rank))
-                for j in range(f.rank)
-            ]
-            worst = min(range(f.rank), key=lambda j: (pairs[j], j))
-            if pairs[worst] < 0:
-                coords[sl.start + worst] -= pairs[worst]
-            else:
-                level = sum(
-                    a * coords[sl.start + k] for k, a in enumerate(f.xi_omega)
-                )
-                if level > 1:
-                    shift = 1 - level
-                    for k in range(f.rank):
-                        coords[sl.start + k] += shift * f.comarks[k]
-                else:
-                    break
-            local += 1
-            if local > budget:
-                raise NonTermination(
-                    f"reduction exceeded {budget} steps on factor {f.name}"
-                )
-        steps += local
-    return Point(rs, tuple(coords), x.exact), steps
+    d, v = _scale(x.coords) if x.exact else (1, x.coords)
+    v = list(v)
+    steps = _reduce_scaled(x.rs, v, d)
+    return Point(x.rs, _unscale(v, d) if x.exact else tuple(v), x.exact), steps
 
 
 @dataclass(frozen=True)
@@ -158,17 +153,18 @@ def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
         total *= len(kacs)
         if total > cap:
             raise CapExceeded(f"grid would have over {cap} points", total)
+    # Point coordinates are cartan_inv @ (s / level); in ints, scaled by
+    # level * lcm of the cartan_inv denominators.
+    dinv, flat = _scale([c for row in rs.cartan_inv for c in row])
+    n = rs.rank
+    inv_rows = [flat[k * n:(k + 1) * n] for k in range(n)]
+    dpt = dinv * level
     pts = []
     for combo in iproduct(*(kacs for kacs, _ in per_factor)):
         kac = tuple(s for block in combo for s in block)
-        coords: list[Fraction] = []
-        for block, (_, f) in zip(combo, per_factor):
-            c = [Fraction(s, level) for s in block[1:]]
-            coords.extend(
-                sum(f.cartan_inv[k][i] * c[i] for i in range(f.rank))
-                for k in range(f.rank)
-            )
-        pts.append(GridPoint(rs, level, kac, Point(rs, tuple(coords), exact=True)))
+        s = [v for block in combo for v in block[1:]]
+        coords = _unscale([sum(map(mul, row, s)) for row in inv_rows], dpt)
+        pts.append(GridPoint(rs, level, kac, Point(rs, coords, exact=True)))
     pts.sort(key=lambda g: g.kac)
     return pts
 
@@ -179,12 +175,7 @@ def lattice_tm(rs: RootSystem, m: int, cap: int = 10**7) -> list[Point]:
         raise DomainError("lattice denominator must be a positive integer")
     if m**rs.rank > cap:
         raise CapExceeded(f"lattice would have {m**rs.rank} points, cap is {cap}")
-    pts = []
-    for digits in iproduct(range(m), repeat=rs.rank):
-        pts.append(
-            Point(rs, tuple(Fraction(d, m) for d in digits), exact=True)
-        )
-    return pts
+    return [Point(rs, _unscale(s, m), exact=True) for s in iproduct(range(m), repeat=rs.rank)]
 
 
 def element_orders(x: Point | GridPoint) -> tuple[int, int]:
@@ -194,23 +185,28 @@ def element_orders(x: Point | GridPoint) -> tuple[int, int]:
         x = x.point
     if not x.exact:
         raise DomainError("element orders need exact coordinates")
-    cw = coweight_coords(x)
-    m_ord = math.lcm(*(c.denominator for c in cw)) if cw else 1
-    n_ord = math.lcm(*(b.denominator for b in x.coords)) if x.coords else 1
+    n_ord, v = _scale(x.coords)
+    # <x, alpha_j> = (cartan @ v)_j / N, so its denominator is N / gcd.
+    m_ord = math.lcm(
+        *(n_ord // math.gcd(sum(map(mul, row, v)), n_ord) for row in x.rs.cartan_int)
+    )
     return m_ord, n_ord
 
 
 def is_rational_element(x: Point | GridPoint) -> bool:
     """True when every power map ``x -> k x`` with ``gcd(k, N) = 1``
     fixes the reduced point."""
-    if isinstance(x, GridPoint):
-        x = x.point
-    _, n_ord = element_orders(x)
-    base = reduce_to_fundamental(x)[0].coords
+    n_ord = element_orders(x)[1]
+    x = x.point if isinstance(x, GridPoint) else x
+    v = _scale(x.coords, n_ord)[1]
+    base = list(v)
+    _reduce_scaled(x.rs, base, n_ord)
     for k in range(2, n_ord):
         if math.gcd(k, n_ord) != 1:
             continue
-        if reduce_to_fundamental(x.scale(k))[0].coords != base:
+        img = [k * c for c in v]
+        _reduce_scaled(x.rs, img, n_ord)
+        if img != base:
             return False
     return True
 

@@ -39,7 +39,6 @@ from .transform import (
 from .weights import (
     Point,
     coord_str,
-    parse_coords,
     parse_point,
     parse_weight,
 )
@@ -286,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylorbits",
         description="Weyl-orbit combinatorics and orbit-function transforms",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker cap for library routines (orchestration is single-threaded)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

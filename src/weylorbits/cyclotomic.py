@@ -14,6 +14,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantViolation
+
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:
     out = [0] * (len(a) + len(b) - 1)
@@ -52,7 +54,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_poly(d))
     q, r = _poly_divmod_exact(num, den)
-    assert not r
+    if r:
+        raise InvariantViolation(f"x^{m} - 1 is not divisible by its proper factors")
     return tuple(int(c) for c in q)
 
 

@@ -60,3 +60,7 @@ class SeparationFailure(WeylOrbitsError):
 
 class DomainError(WeylOrbitsError):
     """An argument violates a documented precondition of the operation."""
+
+
+class InvariantViolation(WeylOrbitsError):
+    """An internal consistency check failed: a bug, not a bad argument."""

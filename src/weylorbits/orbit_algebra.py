@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, mul
 from typing import Sequence
 
 from .errors import (
@@ -28,13 +28,15 @@ from .errors import (
     UnknownPair,
     UnsupportedType,
 )
-from .root_system import RootSystem, root_system
+from .root_system import RootSystem, dynkin_components, root_system
 from .weights import (
     Weight,
     inner_product,
     is_dominant,
     is_strictly_dominant,
+    weight_to_point,
 )
+from .weyl import _bonds, _dominate, _scale, _scaled_orbit, _unscale
 from .weyl import dominant_representative, orbit, orbit_size, stabilizer_order
 
 
@@ -108,49 +110,65 @@ def product_fastpath_classify(lam: Weight, mu: Weight) -> str:
         raise MismatchedSystem(f"{lam.rs.name} does not match {mu.rs.name}")
     if lam.is_zero() or mu.is_zero():
         return "General"
-    shifts = [p + mu for p in orbit(lam).points]
-    if all(is_strictly_dominant(s) for s in shifts):
+    shifts = _shifts(lam, mu)[1]
+    if all(min(s) > 0 for s in shifts):
         return "StrictAll"
-    if all(is_dominant(s) for s in shifts):
+    if all(min(s) >= 0 for s in shifts):
         return "DominantAll"
-    if is_strictly_dominant(mu) and all(
-        is_strictly_dominant(dominant_representative(s)[0]) for s in shifts
-    ):
+    bonds = _bonds(lam.rs)
+    if is_strictly_dominant(mu) and all(min(_dominate(s, bonds)[0]) > 0 for s in shifts):
         return "SeparatedGeneric"
     return "General"
 
 
+def _shifts(lam: Weight, mu: Weight, cap: int = 10**7):
+    """``(d, the translated points w.lam + mu as d-scaled int tuples)``."""
+    d, m = _scale(mu.coords, _scale(lam.coords + mu.coords)[0])
+    return d, [tuple(map(add, p, m)) for p in _scaled_orbit(lam, cap, d)[1]]
+
+
+def _regroup(counts: Counter, target: RootSystem, d: int) -> OrbitSum:
+    """Regroup a Weyl-invariant multiset of ``d``-scaled int points of
+    ``target`` into an orbit sum: every orbit, met through its dominant
+    representative, must hold a whole multiple of its size."""
+    bonds = _bonds(target)
+    dominant: Counter = Counter()
+    for p, count in counts.items():
+        dominant[_dominate(p, bonds)[0]] += count
+    terms = {}
+    for v, count in dominant.items():
+        rep = Weight(target, _unscale(v, d))
+        mult, rem = divmod(count, orbit_size(rep))
+        if rem:
+            raise DomainError(f"point counts are not aligned with the {target.name} orbits")
+        terms[rep] = mult
+    return OrbitSum.from_counter(target, terms)
+
+
 def _product_brute(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
     small, large = (lam, mu) if orbit_size(lam) <= orbit_size(mu) else (mu, lam)
-    large_points = orbit(large, cap=cap).points
+    d = _scale(lam.coords + mu.coords)[0]
+    large_points = _scaled_orbit(large, cap, d)[1]
+    bonds = _bonds(lam.rs)
     counts: Counter = Counter()
-    for p in orbit(small, cap=cap).points:
-        for q in large_points:
-            counts[dominant_representative(p + q)[0]] += 1
-    terms: Counter = Counter()
-    for rep, count in counts.items():
-        size = orbit_size(rep)
-        mult, rem = divmod(count, size)
-        if rem:
-            raise DomainError("point-pair counts are not orbit-aligned")
-        terms[rep] = mult
-    return OrbitSum.from_counter(lam.rs, terms)
+    for p in _scaled_orbit(small, cap, d)[1]:
+        counts.update(_dominate(map(add, p, q), bonds)[0] for q in large_points)
+    return _regroup(counts, lam.rs, d)
 
 
 def _product_fastpath(lam: Weight, mu: Weight, kind: str, cap: int) -> OrbitSum:
-    shifts = [p + mu for p in orbit(lam, cap=cap).points]
-    terms: Counter = Counter()
-    if kind == "StrictAll":
-        for s in shifts:
-            terms[s] += 1
-    elif kind == "DominantAll":
-        for s in shifts:
-            terms[s] += stabilizer_order(s)
-    elif kind == "SeparatedGeneric":
-        for s in shifts:
-            terms[dominant_representative(s)[0]] += 1
-    else:
+    """Each translated point ``s`` stands for one orbit; under ``DominantAll``
+    for ``|W_s| / |W_mu|`` of them: ``s_j = 0`` wherever ``mu_j = 0``
+    (``O(lam)`` is closed under ``r_j``), so ``W_mu`` fixes ``s``."""
+    if kind not in ("StrictAll", "DominantAll", "SeparatedGeneric"):
         raise DomainError(f"no fast path for class {kind!r}")
+    d, shifts = _shifts(lam, mu, cap)
+    bonds = _bonds(lam.rs)
+    stab_mu = stabilizer_order(mu)
+    terms: Counter = Counter()
+    for s in shifts:
+        rep = Weight(lam.rs, _unscale(_dominate(s, bonds)[0], d))
+        terms[rep] += stabilizer_order(rep) // stab_mu if kind == "DominantAll" else 1
     return OrbitSum.from_counter(lam.rs, terms)
 
 
@@ -363,19 +381,11 @@ def branch_restrict(lam: Weight, proj: ProjectionMatrix, cap: int = 10**7) -> Or
         )
     if not is_dominant(lam):
         raise DomainError("branching takes a dominant weight")
-    counts: Counter = Counter()
-    for p in orbit(lam, cap=cap).points:
-        counts[dominant_representative(proj.project(p))[0]] += 1
-    terms: Counter = Counter()
-    for rep, count in counts.items():
-        size = orbit_size(rep)
-        mult, rem = divmod(count, size)
-        if rem:
-            raise DomainError(
-                "projected points are not invariant under the target group"
-            )
-        terms[rep] = mult
-    return OrbitSum.from_counter(proj.target, terms)
+    d, points = _scaled_orbit(lam, cap)
+    counts = Counter(
+        tuple(sum(map(mul, row, p)) for row in proj.matrix) for p in points
+    )
+    return _regroup(counts, proj.target, d)
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +442,7 @@ def branch_equal_rank(lam: Weight, sub_roots: Sequence[Weight], cap: int = 10**7
     ):
         raise DomainError("chosen roots do not form a root base")
 
-    # Connected components of the chosen base, in first-node order.
-    remaining = set(range(n))
-    groups: list[list[int]] = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining - comp:
-                if sub_cartan[v][w] != 0:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        groups.append(sorted(comp))
+    groups = dynkin_components(sub_cartan, range(n))
     parts = [
         _recognize_component([[sub_cartan[i][j] for j in g] for i in g])
         for g in groups
@@ -456,22 +452,18 @@ def branch_equal_rank(lam: Weight, sub_roots: Sequence[Weight], cap: int = 10**7
         if len(parts) == 1
         else root_system("x".join(p.name for p in parts))
     )
-    order = [i for g in groups for i in g]
-
-    counts: Counter = Counter()
-    for p in orbit(lam, cap=cap).points:
-        coords = tuple(
-            2 * inner_product(p, sub_roots[i]) / norms[i] for i in order
-        )
-        counts[dominant_representative(Weight(target, coords))[0]] += 1
-    terms: Counter = Counter()
-    for rep, count in counts.items():
-        size = orbit_size(rep)
-        mult, rem = divmod(count, size)
-        if rem:
-            raise DomainError("orbit points are not aligned with the subsystem")
-        terms[rep] = mult
-    return OrbitSum.from_counter(target, terms)
+    # Target coordinate i of a weight p is 2<p, beta_i>/<beta_i, beta_i>,
+    # the pairing of p with the coroot of beta_i: a linear map on p.
+    coroots = [
+        weight_to_point(sub_roots[i]).scale(2 / norms[i]).coords
+        for g in groups
+        for i in g
+    ]
+    dk, flat = _scale([c for col in coroots for c in col])
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    d, points = _scaled_orbit(lam, cap)
+    counts = Counter(tuple(sum(map(mul, row, p)) for row in rows) for p in points)
+    return _regroup(counts, target, d * dk)
 
 
 # ---------------------------------------------------------------------------

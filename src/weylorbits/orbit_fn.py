@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,14 +32,15 @@ from .root_system import RootSystem, factor_slices
 from .weights import (
     Point,
     Weight,
+    _same_system,
     from_orthogonal,
     inner_product,
     pairing,
     to_orthogonal,
-    weight_to_point,
 )
 from .weyl import (
     Orbit,
+    _scale,
     apply_matrix_to_point,
     group_elements,
     orbit,
@@ -61,6 +64,11 @@ class OrbitFunction:
     def multiplier(self) -> int:
         return self.orbit.stabilizer_order if self.modified else 1
 
+    @cached_property
+    def _scaled_points(self) -> tuple[int, list[tuple[int, ...]]]:
+        d = _scale(self.lam.coords)[0]  # orbit points share lam's denominators
+        return d, [_scale(mu.coords, d)[1] for mu in self.orbit.points]
+
 
 def orbit_function(lam: Weight, modified: bool = False, cap: int = 10**7) -> OrbitFunction:
     return OrbitFunction(lam, modified, orbit(lam, cap=cap))
@@ -77,14 +85,15 @@ def _kahan_complex(values) -> complex:
     return total
 
 
-def _residue_counts(f: OrbitFunction, x: Point) -> tuple[int, dict[int, int]]:
-    exps = [pairing(mu, x) for mu in f.orbit.points]
-    denom = math.lcm(*(t.denominator for t in exps))
-    counts: dict[int, int] = {}
-    for t in exps:
-        r = t.numerator * (denom // t.denominator) % denom
-        counts[r] = counts.get(r, 0) + 1
-    return denom, counts
+def _residue_counts(f: OrbitFunction, x: Point) -> tuple[int, Counter]:
+    _same_system(f.lam, x)
+    dw, points = f._scaled_points
+    dx, v = _scale(x.coords)
+    # <mu, x> = t / (dw * dx) for an integer t: residues r / denom mod 1.
+    ts = [sum(map(mul, p, v)) for p in points]
+    g = math.gcd(dw * dx, *ts)
+    denom = dw * dx // g
+    return denom, Counter(t // g % denom for t in ts)
 
 
 def eval_fn(f: OrbitFunction, x: Point) -> complex:

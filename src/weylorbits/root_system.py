@@ -130,7 +130,8 @@ class RootSystem:
         Total rank.
     cartan, cartan_inv, gram : tuple of tuples of Fraction
         Cartan matrix, its exact inverse, and the Gram matrix
-        ``S = cartan_inv @ diag(lengths_sq / 2)`` of fundamental weights.
+        ``S = cartan_inv @ diag(lengths_sq / 2)`` of fundamental weights;
+        ``cartan_int`` holds the Cartan matrix in plain ints.
     lengths_sq : tuple of Fraction
         Squared lengths of the simple roots (long roots have 2).
     marks, comarks : tuple of int
@@ -147,6 +148,7 @@ class RootSystem:
         "series",
         "rank",
         "cartan",
+        "cartan_int",
         "cartan_inv",
         "lengths_sq",
         "gram",
@@ -175,6 +177,7 @@ class RootSystem:
         self.series = series
         self.rank = len(cartan)
         self.cartan = cartan
+        self.cartan_int = tuple(tuple(int(v) for v in row) for row in cartan)
         self.cartan_inv = _linalg.mat_inv(cartan)
         self.lengths_sq = lengths_sq
         self.gram = tuple(
@@ -283,7 +286,7 @@ def factor_slices(rs: RootSystem) -> list[tuple["RootSystem", slice]]:
     return out
 
 
-def _component_order(cartan: Matrix, nodes: list[int]) -> int:
+def _component_order(cartan, nodes: list[int]) -> int:
     """Weyl order of one connected sub-diagram given by ``nodes``."""
     k = len(nodes)
     if k == 1:
@@ -293,7 +296,7 @@ def _component_order(cartan: Matrix, nodes: list[int]) -> int:
     for i in nodes:
         for j in nodes:
             if i < j and cartan[i][j] != 0:
-                b = int(cartan[i][j] * cartan[j][i])
+                b = cartan[i][j] * cartan[j][i]
                 bonds[(i, j)] = b
                 adj[i].append(j)
                 adj[j].append(i)
@@ -343,24 +346,24 @@ def _component_order(cartan: Matrix, nodes: list[int]) -> int:
         raise UnsupportedType("unrecognized sub-diagram") from None
 
 
+def dynkin_components(cartan, nodes) -> list[list[int]]:
+    """Sorted connected components of the sub-diagram on ``nodes``, in
+    order of their lowest node; nonzero entries of ``cartan`` are bonds."""
+    components: list[list[int]] = []
+    for v in sorted(nodes):
+        linked = [c for c in components if any(cartan[v][u] for u in c)]
+        components = [c for c in components if c not in linked]
+        components.append(sorted([v, *(u for c in linked for u in c)]))
+    return sorted(components)
+
+
 def parabolic_order(rs: RootSystem, indices: tuple[int, ...]) -> int:
     """Order of the subgroup generated by the simple reflections in ``indices``.
 
     ``indices`` are 0-based node positions; the subgroup is a product of
     Weyl groups of the connected components of the induced sub-diagram.
     """
-    remaining = set(indices)
     order = 1
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining - comp:
-                if rs.cartan[v][w] != 0:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        order *= _component_order(rs.cartan, sorted(comp))
+    for comp in dynkin_components(rs.cartan_int, indices):
+        order *= _component_order(rs.cartan_int, comp)
     return order

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .root_system import RootSystem, root_system
 from .weights import Point, Weight, is_dominant
-from .weyl import orbit, orbit_size
-from .orbit_fn import OrbitFunction, eval_exact_cyc, eval_fn, eval_many, orbit_function
+from .weyl import _scaled_orbit, orbit, orbit_size
+from .orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
 from .affine import fundamental_vertices
 
 
@@ -261,11 +261,9 @@ def separates(lam: Weight, mu: Weight, m: int) -> bool:
     _check_weight(lam.rs, lam)
     _check_weight(lam.rs, mu)
     seen: dict[tuple, tuple] = {}
-    for w in list(orbit(lam).points) + list(orbit(mu).points):
-        key = tuple(int(c) % m for c in w.coords)
-        if key in seen and seen[key] != w.coords:
+    for p in _scaled_orbit(lam)[1] + _scaled_orbit(mu)[1]:  # integral: d = 1
+        if seen.setdefault(tuple(c % m for c in p), p) != p:
             return False
-        seen[key] = w.coords
     return True
 
 
@@ -275,12 +273,8 @@ def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
     if not lambdas:
         raise DomainError("need at least one weight")
     # Upper bound: any m larger than the largest coordinate gap works.
-    hi = 1
-    all_points = [w for lam in lambdas for w in orbit(lam).points]
-    for w in all_points:
-        for v in all_points:
-            for a, b in zip(w.coords, v.coords):
-                hi = max(hi, abs(int(a - b)) + 1)
+    columns = zip(*(p.coords for lam in lambdas for p in orbit(lam).points))
+    hi = max(int(max(col) - min(col)) + 1 for col in columns)
     for m in range(1, hi + 1):
         if all(
             separates(a, b, m)

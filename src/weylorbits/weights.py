@@ -28,10 +28,26 @@ from .errors import (
 from .root_system import RootSystem, build_root_system
 
 
-def _coerce_exact(value) -> Fraction:
+# Equal exact coordinates share one Fraction (it is immutable), so weights
+# and points kept in bulk hold one object per distinct value: integers
+# |v| <= 256 from the start, other values as they are met while the
+# table holds fewer than _SHARED_MAX entries.
+_SHARED_MAX = 4096
+_SHARED = {v: Fraction(v) for v in range(-256, 257)}
+
+
+def exact(value) -> Fraction:
+    """``Fraction(value)``, shared with an equal int or Fraction met before."""
     if isinstance(value, float):
         raise DomainError(f"expected an exact rational, got float {value!r}")
-    return Fraction(value)
+    if type(value) not in (int, Fraction):
+        return Fraction(value)
+    f = _SHARED.get(value)
+    if f is None:
+        f = Fraction(value)
+        if len(_SHARED) < _SHARED_MAX:
+            _SHARED[f] = f
+    return f
 
 
 @dataclass(frozen=True)
@@ -111,14 +127,14 @@ def _same_system(a, b) -> None:
 
 
 def weight(rs: RootSystem, coords: Iterable) -> Weight:
-    return Weight(rs, tuple(_coerce_exact(c) for c in coords))
+    return Weight(rs, tuple(exact(c) for c in coords))
 
 
 def point(rs: RootSystem, coords: Iterable) -> Point:
     vals = tuple(coords)
     if any(isinstance(v, float) for v in vals):
         return Point(rs, tuple(float(v) for v in vals), exact=False)
-    return Point(rs, tuple(Fraction(v) for v in vals), exact=True)
+    return Point(rs, tuple(exact(v) for v in vals), exact=True)
 
 
 def zero_weight(rs: RootSystem) -> Weight:

@@ -1,29 +1,30 @@
 """Weyl group actions: reflections, orbits, stabilizers.
 
 Orbits are enumerated breadth first from the dominant representative,
-applying simple reflections; within a BFS layer points are ordered by
-ascending coordinate tuple, which makes orbit listings reproducible.
-Orbit sizes never require enumeration: the stabilizer of a dominant
-weight is the parabolic subgroup generated by the simple reflections
-fixing it, so ``|orbit| = |W| / |W_stab|``.
+reflecting each point in its positive coordinates; within a BFS layer
+points are ordered by ascending coordinate tuple, which makes orbit
+listings reproducible.  Orbit sizes never require enumeration: the
+stabilizer of a dominant weight is the parabolic subgroup generated by
+the simple reflections fixing it, so ``|orbit| = |W| / |W_stab|``.
+
+Orbits, dominant representatives, regrouping into orbit sums and affine
+reduction run on the integer kernel below, on scaled plain Python ints;
+results are divided back and stay exact ``Fraction`` coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Iterable
 
-from .errors import CapExceeded, DomainError, IndexOutOfRange, UnsupportedRank
+from .errors import CapExceeded, DomainError, IndexOutOfRange
+from .errors import InvariantViolation, UnsupportedRank
 from .root_system import RootSystem, parabolic_order
-from .weights import (
-    Point,
-    Weight,
-    from_orthogonal,
-    is_dominant,
-    orthogonal_dominant,
-)
+from .weights import Point, Weight, exact, is_dominant, orthogonal_dominant
 
 
 def reflect_simple(i: int, lam: Weight) -> Weight:
@@ -50,6 +51,87 @@ def reflect_simple_point(i: int, x: Point) -> Point:
     return Point(rs, tuple(coords), x.exact)
 
 
+# ---------------------------------------------------------------------------
+# Integer kernel: Cartan matrices are integral and reflections linear, so
+# a coordinate tuple x is carried as d*x in plain ints, d a common
+# multiple of its denominators, and divided by d at the end.
+
+def _scale(coords, d: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """``(d, d*coords)``; ``d`` defaults to the lcm of the denominators."""
+    if d is None:
+        d = lcm(*(c.denominator for c in coords))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coords)
+
+
+def _unscale(ints, d: int) -> tuple[Fraction, ...]:
+    """``ints / d`` as Fractions."""
+    return tuple(Fraction(v, d) if v % d else exact(v // d) for v in ints)
+
+
+@lru_cache(maxsize=64)
+def _bonds(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node ``i``, the ``(j, M[i][j])`` with ``j != i`` and ``M[i][j] != 0``."""
+    return tuple(
+        tuple((j, c) for j, c in enumerate(row) if j != i and c)
+        for i, row in enumerate(rs.cartan_int)
+    )
+
+
+def _reflect(v: list[int], i: int, bonds) -> None:
+    """Simple reflection ``r_{i+1}`` of the scaled weight ``v``, in place."""
+    a = v[i]
+    v[i] = -a
+    for j, c in bonds[i]:
+        v[j] -= a * c
+
+
+def _dominate(p: Iterable[int], bonds) -> tuple[tuple[int, ...], list[int]]:
+    """Reflect the scaled weight ``p`` into the dominant chamber, lowest
+    negative index first; returns the image and the 1-based word."""
+    v, word = list(p), []
+    while True:
+        for i, a in enumerate(v):
+            if a < 0:
+                break
+        else:
+            return tuple(v), word
+        _reflect(v, i, bonds)
+        word.append(i + 1)
+
+
+def _scaled_orbit(lam: Weight, cap: int = 10**7, d: int | None = None):
+    """``(d, orbit points as d-scaled int tuples)``, in :func:`orbit` order.
+
+    Reflecting a point in a positive coordinate lengthens its minimal
+    coset word by one, so layer ``k + 1`` is exactly the set of such
+    images of layer ``k``; each layer is sorted by coordinate tuple.
+    """
+    if not is_dominant(lam):
+        raise DomainError("orbit enumeration starts from a dominant weight")
+    size = orbit_size(lam)
+    if size > cap:
+        raise CapExceeded(f"orbit has {size} points, cap is {cap}", size=size)
+    d, v = _scale(lam.coords, d)
+    bonds = _bonds(lam.rs)
+    points, layer = [v], [v]
+    while layer:
+        nxt = set()
+        for p in layer:
+            for i, a in enumerate(p):
+                if a > 0:
+                    q = list(p)
+                    _reflect(q, i, bonds)
+                    nxt.add(tuple(q))
+        layer = sorted(nxt)
+        points += layer
+    if len(points) != size:
+        raise InvariantViolation(f"{len(points)} orbit points, expected {size}")
+    return d, points
+
+
+# ---------------------------------------------------------------------------
+# Dominant representatives and orbits.
+
 def dominant_representative(lam: Weight) -> tuple[Weight, int, tuple[int, ...]]:
     """Dominant representative of a weight's orbit.
 
@@ -58,19 +140,9 @@ def dominant_representative(lam: Weight) -> tuple[Weight, int, tuple[int, ...]]:
     left to right to ``lam`` yields ``mu``.  Among negative coordinates
     the lowest index is reflected first.
     """
-    cur = list(lam.coords)
-    cartan = lam.rs.cartan
-    word: list[int] = []
-    while True:
-        idx = next((j for j, a in enumerate(cur) if a < 0), None)
-        if idx is None:
-            break
-        a_i = cur[idx]
-        row = cartan[idx]
-        for j in range(len(cur)):
-            cur[j] -= a_i * row[j]
-        word.append(idx + 1)
-    return Weight(lam.rs, tuple(cur)), (-1) ** len(word), tuple(word)
+    d, v = _scale(lam.coords)
+    v, word = _dominate(v, _bonds(lam.rs))
+    return Weight(lam.rs, _unscale(v, d)), (-1) ** len(word), tuple(word)
 
 
 @dataclass(frozen=True)
@@ -103,34 +175,13 @@ def orbit(lam: Weight, cap: int = 10**7) -> Orbit:
     Raises :class:`CapExceeded` (carrying the size) when the orbit is
     larger than ``cap``.
     """
-    if not is_dominant(lam):
-        raise DomainError("orbit enumeration starts from a dominant weight")
-    size = orbit_size(lam)
-    if size > cap:
-        raise CapExceeded(f"orbit has {size} points, cap is {cap}", size=size)
-    rank = lam.rs.rank
-    seen = {lam.coords}
-    points = [lam]
-    layer = [lam]
-    while layer:
-        nxt = []
-        for w in layer:
-            for i in range(1, rank + 1):
-                if w.coords[i - 1] == 0:
-                    continue
-                img = reflect_simple(i, w)
-                if img.coords not in seen:
-                    seen.add(img.coords)
-                    nxt.append(img)
-        nxt.sort(key=lambda w: w.coords)
-        points.extend(nxt)
-        layer = nxt
-    assert len(points) == size
-    return Orbit(lam, tuple(points), size, lam.rs.weyl_order // size)
-
-
-def orbit_iter(lam: Weight, cap: int = 10**7) -> Iterator[Weight]:
-    yield from orbit(lam, cap=cap).points
+    d, points = _scaled_orbit(lam, cap)
+    rs = lam.rs
+    # Replace in place, so each int tuple is freed as its Weight is made.
+    points[0] = lam
+    for k in range(1, len(points)):
+        points[k] = Weight(rs, _unscale(points[k], d))
+    return Orbit(lam, tuple(points), len(points), rs.weyl_order // len(points))
 
 
 def orthogonal_orbit(series: str, m: Iterable) -> set[tuple[Fraction, ...]]:
@@ -160,11 +211,6 @@ def orthogonal_orbit(series: str, m: Iterable) -> set[tuple[Fraction, ...]]:
     return out
 
 
-def orthogonal_orbit_weights(series: str, m: Iterable) -> set[Weight]:
-    """Same orbit, mapped back to fundamental-weight coordinates."""
-    return {from_orthogonal(series, p) for p in orthogonal_orbit(series, m)}
-
-
 _GROUP_RANK_CAP = 4
 
 
@@ -183,36 +229,22 @@ def group_elements(rs: RootSystem, cap: int = 20_000) -> tuple[tuple, ...]:
             f"Weyl group has {rs.weyl_order} elements, cap is {cap}",
             size=rs.weyl_order,
         )
+    # W acts simply transitively on the orbit of rho = (1, ..., 1): the word
+    # carrying w.rho back to rho spells w^-1, and row k of w's matrix is
+    # w(omega_k).
+    bonds = _bonds(rs)
     n = rs.rank
-    gens = []
-    for i in range(n):
-        rows = [
-            tuple(
-                (1 if k == j else 0) - (int(rs.cartan[i][j]) if k == i else 0)
-                for j in range(n)
-            )
-            for k in range(n)
-        ]
-        gens.append(tuple(rows))
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = tuple(
-                    tuple(
-                        sum(m[r][k] * g[k][c] for k in range(n)) for c in range(n)
-                    )
-                    for r in range(n)
-                )
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    assert len(seen) == rs.weyl_order
-    return tuple(sorted(seen))
+    mats = set()
+    for p in _scaled_orbit(Weight(rs, (exact(1),) * n))[1]:
+        word = _dominate(p, bonds)[1][::-1]
+        rows = [[int(j == k) for j in range(n)] for k in range(n)]
+        for row in rows:
+            for i in word:
+                _reflect(row, i - 1, bonds)
+        mats.add(tuple(map(tuple, rows)))
+    if len(mats) != rs.weyl_order:
+        raise InvariantViolation(f"{len(mats)} group elements, |W| is {rs.weyl_order}")
+    return tuple(sorted(mats))
 
 
 def apply_matrix_to_weight(matrix, lam: Weight) -> Weight:

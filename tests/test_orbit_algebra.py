@@ -77,6 +77,11 @@ def test_classifier_golden():
     assert product_fastpath_classify(lam, w.weight(rs, (0, 0))) == "General"
     # DominantAll weights the translated points by their stabilizers
     assert _product_dict("A2", (1, 0), (1, 1)) == {(2, 1): 1, (0, 2): 2, (1, 0): 2}
+    # ... divided by the stabilizer of mu, here W(G2)
+    a1g2 = w.root_system("A1xG2")
+    omega = w.weight(a1g2, (1, 0, 0))
+    assert product_fastpath_classify(omega, omega) == "DominantAll"
+    assert _product_dict("A1xG2", (1, 0, 0), (1, 0, 0)) == {(2, 0, 0): 1, (0, 0, 0): 2}
 
 
 def test_product_errors():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylorbits as w
-from weylorbits.weyl import orbit_iter, orthogonal_orbit, reflect_simple
+from weylorbits.weyl import orthogonal_orbit, reflect_simple
 
 from tables import RANK2_ORBITS, RANK3_ORBITS
 
@@ -160,7 +160,7 @@ def test_orbit_cap():
     with pytest.raises(w.CapExceeded) as exc:
         w.orbit(w.weight(rs, (1, 1, 1, 1, 1, 1, 1, 1)), cap=1000)
     assert exc.value.size == rs.weyl_order
-    pts = list(orbit_iter(w.weight(rs, (1, 0, 0, 0, 0, 0, 0, 0))))
+    pts = w.orbit(w.weight(rs, (1, 0, 0, 0, 0, 0, 0, 0))).points
     assert len(pts) == 240  # the root orbit
 
 
