@@ -155,7 +155,7 @@ def _cmd_branch(args) -> str:
 
 def _cmd_grid(args) -> str:
     rs = root_system(args.type)
-    pts = grid_fm(rs, args.level)
+    pts = grid_fm(rs, args.level, cap=args.cap)
     if args.format == "json":
         return _compact(
             {
@@ -210,14 +210,14 @@ def _cmd_rational(args) -> str:
 
 def _cmd_eval(args) -> str:
     rs = root_system(args.type)
-    f = orbit_function(parse_weight(rs, args.lam), modified=args.modified)
+    f = orbit_function(parse_weight(rs, args.lam), modified=args.modified, cap=args.cap)
     value = eval_fn(f, parse_point(rs, args.point))
     return f"{_fmt(value.real)};{_fmt(value.imag)}"
 
 
 def _cmd_sample(args) -> str:
     rs = root_system(args.type)
-    f = orbit_function(parse_weight(rs, args.lam), modified=args.modified)
+    f = orbit_function(parse_weight(rs, args.lam), modified=args.modified, cap=args.cap)
     res = args.resolution
     rows = []
 
@@ -265,7 +265,7 @@ def _cmd_laplace_check(args) -> str:
         else interior_base_point(rs)
     )
     x = Point(rs, tuple(float(c) for c in x.coords), exact=False)
-    f = orbit_function(lam)
+    f = orbit_function(lam, cap=args.cap)
     eig, _ = laplace_eigenvalue(lam)
     phi_val = eval_fn(f, x)
     fd_val = laplace_apply_fd(lambda p: eval_fn(f, p), x, h=args.h)

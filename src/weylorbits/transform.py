@@ -8,15 +8,22 @@ the domain, which is the normalization in which distinct orbit
 functions are orthogonal and ``|phi_lambda|^2`` averages to the orbit
 size.
 
-Finite side: scalar products over the torsion lattice ``T_m`` are exact
-cyclotomic integers, and expansion coefficients of a function over
-separated weights are recovered exactly, either from the full lattice
-or from its fundamental-domain representatives with preimage counts.
+Finite side: scalar products over the torsion lattice ``T_m`` are
+computed in closed form from orbit residues mod ``m``.  Summing
+``exp(2 pi i <a - b, s/m>)`` over ``s`` in ``(Z/m)^n`` gives ``m^n`` when
+``a = b`` mod ``m`` coordinate-wise and 0 otherwise, so
+``sum over T_m of phi_lam . conj(phi_mu)`` is ``m^n`` times the number of
+congruent pairs in ``O(lam) x O(mu)``, and ``m`` separates the two orbits
+when no such pair exists apart from a point with itself.  Expansion
+coefficients of a function over separated weights are recovered exactly
+from the fundamental-domain representatives of the lattice with their
+preimage counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,11 +56,7 @@ class SpectrumEntry:
     coeff: object  # Fraction for exact recoveries, complex otherwise
 
     def coeff_complex(self) -> complex:
-        if isinstance(self.coeff, Cyc):
-            return self.coeff.to_complex()
-        if isinstance(self.coeff, Fraction):
-            return complex(self.coeff)
-        return complex(self.coeff)
+        return self.coeff.to_complex() if isinstance(self.coeff, Cyc) else complex(self.coeff)
 
 
 def _sorted_spectrum(entries) -> list[SpectrumEntry]:
@@ -255,16 +258,35 @@ def _check_weight(rs: RootSystem, lam: Weight) -> None:
         raise DomainError("transform weights must be integral")
 
 
+def _residues(lam: Weight, m: int) -> Counter:
+    """Orbit points of an integral weight counted by coordinates mod ``m``."""
+    return Counter(tuple(c % m for c in p) for p in _scaled_orbit(lam)[1])  # integral: d = 1
+
+
+def _separated(a: Counter, b: Counter, same: bool) -> bool:
+    """No residue in ``a`` or ``b`` holds two orbit points, and for two
+    different weights no residue holds a point of each."""
+    return max(a.values()) == 1 == max(b.values()) and (same or a.keys().isdisjoint(b))
+
+
+def _first_unseparated(lambdas: Sequence[Weight], m: int) -> tuple[Weight, Weight] | None:
+    """The first pair ``(a, b)``, ``b`` at or after ``a``, that ``m`` does
+    not separate, or None.  Every weight must be a transform weight of
+    the first one's root system."""
+    for lam in lambdas:
+        _check_weight(lambdas[0].rs, lam)
+    res = [_residues(lam, m) for lam in lambdas]
+    for i, a in enumerate(lambdas):
+        for b, rb in zip(lambdas[i:], res[i:]):
+            if not _separated(res[i], rb, a.coords == b.coords):
+                return a, b
+    return None
+
+
 def separates(lam: Weight, mu: Weight, m: int) -> bool:
     """Whether the order-``m`` lattice distinguishes the two orbits: no
     pair of distinct orbit points is congruent coordinate-wise mod m."""
-    _check_weight(lam.rs, lam)
-    _check_weight(lam.rs, mu)
-    seen: dict[tuple, tuple] = {}
-    for p in _scaled_orbit(lam)[1] + _scaled_orbit(mu)[1]:  # integral: d = 1
-        if seen.setdefault(tuple(c % m for c in p), p) != p:
-            return False
-    return True
+    return _first_unseparated([lam, mu], m) is None
 
 
 def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
@@ -276,37 +298,21 @@ def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
     columns = zip(*(p.coords for lam in lambdas for p in orbit(lam).points))
     hi = max(int(max(col) - min(col)) + 1 for col in columns)
     for m in range(1, hi + 1):
-        if all(
-            separates(a, b, m)
-            for i, a in enumerate(lambdas)
-            for b in lambdas[i:]
-        ):
+        if _first_unseparated(lambdas, m) is None:
             return m
     raise SeparationFailure("no separating order within the coordinate spread")
 
 
-@lru_cache(maxsize=4096)
-def _phi_tm_values(rs_name: str, coords: tuple, m: int) -> tuple[Cyc, ...]:
-    rs = root_system(rs_name)
-    f = orbit_function(Weight(rs, coords))
-    out = []
-    for x in lattice_tm(rs, m):
-        out.append(eval_exact_cyc(f, x, modulus=m))
-    return tuple(out)
-
-
 def tm_scalar_product(lam: Weight, mu: Weight, m: int, cap: int = 10**7) -> Cyc:
-    """Exact scalar product ``sum over T_m of phi_lam . conj(phi_mu)``."""
+    """Exact scalar product ``sum over T_m of phi_lam . conj(phi_mu)``:
+    ``m**rank`` times the number of orbit-point pairs congruent mod ``m``."""
     _check_weight(lam.rs, lam)
     _check_weight(lam.rs, mu)
-    if m**lam.rs.rank > cap:
-        raise CapExceeded(f"lattice would have {m**lam.rs.rank} points")
-    a = _phi_tm_values(lam.rs.name, lam.coords, m)
-    b = _phi_tm_values(lam.rs.name, mu.coords, m)
-    total = Cyc.zero(m)
-    for va, vb in zip(a, b):
-        total = total + va * vb.conj()
-    return total
+    points = m**lam.rs.rank
+    if points > cap:
+        raise CapExceeded(f"lattice would have {points} points")
+    a, b = _residues(lam, m), _residues(mu, m)
+    return Cyc.from_rational(m, points * sum(c * b[r] for r, c in a.items()))
 
 
 def _fundamental_representatives(rs: RootSystem, m: int, cap: int):
@@ -330,34 +336,25 @@ def finite_forward(
     lambdas: Sequence[Weight],
     m: int,
     cap: int = 10**7,
-    method: str = "fundamental",
 ) -> list[SpectrumEntry]:
     """Expansion coefficients of ``f`` over the order-``m`` lattice.
 
-    ``f`` is called on exact lattice points (or their fundamental-domain
-    representatives when ``method="fundamental"``); exact return values
-    keep the whole computation in cyclotomic arithmetic.  Raises
+    ``f`` is called on the fundamental-domain representatives of the
+    lattice points, each weighted by its preimage count; exact return
+    values keep the whole computation in cyclotomic arithmetic.  Raises
     :class:`SeparationFailure` when the lattice cannot tell two of the
     requested weights apart.
     """
     if not lambdas:
         raise DomainError("need at least one weight")
+    pair = _first_unseparated(lambdas, m)
+    if pair is not None:
+        a, b = pair
+        raise SeparationFailure(
+            f"order {m} does not separate {a.coords} and {b.coords}", pair=pair
+        )
     rs = lambdas[0].rs
-    for lam in lambdas:
-        _check_weight(rs, lam)
-    if method not in ("fundamental", "full"):
-        raise DomainError(f"unknown method {method!r}")
-    for i, a in enumerate(lambdas):
-        for b in lambdas[i:]:
-            if not separates(a, b, m):
-                raise SeparationFailure(
-                    f"order {m} does not separate {a.coords} and {b.coords}",
-                    pair=(a, b),
-                )
-    if method == "full":
-        pts = [(x, 1) for x in lattice_tm(rs, m, cap=cap)]
-    else:
-        pts = _fundamental_representatives(rs, m, cap)
+    pts = _fundamental_representatives(rs, m, cap)
     values = [f(x) for x, _ in pts]
     exact = all(_is_exact_value(v) for v in values)
     n = rs.rank
@@ -392,20 +389,17 @@ def synthesize_spectrum(spectrum: Sequence[SpectrumEntry], m: int | None = None)
     With ``m`` given and rational coefficients the result is an exact
     cyclotomic value; otherwise complex.
     """
+    terms = [(e, orbit_function(e.weight)) for e in spectrum]
+    rational = all(isinstance(e.coeff, (int, Fraction)) for e in spectrum)
 
     def f(x: Point):
-        if m is not None and x.exact and all(
-            isinstance(e.coeff, (int, Fraction)) for e in spectrum
-        ):
+        if m is not None and x.exact and rational:
             total = Cyc.zero(m)
-            for e in spectrum:
-                val = eval_exact_cyc(orbit_function(e.weight), x, modulus=m)
+            for e, func in terms:
+                val = eval_exact_cyc(func, x, modulus=m)
                 total = total + val * Fraction(e.coeff)
             return total
-        return sum(
-            e.coeff_complex() * eval_fn(orbit_function(e.weight), x)
-            for e in spectrum
-        )
+        return sum(e.coeff_complex() * eval_fn(func, x) for e, func in terms)
 
     return f
 

@@ -205,6 +205,18 @@ def test_cap_exceeded_exit_code(capsys):
     assert err.startswith("CapExceeded:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid", "--type", "A2", "--level", "6"),
+    ("eval", "--type", "E8", "--lambda", "0,0,0,0,0,0,1,0", "--point", "0,0,0,0,0,0,0,0"),
+    ("sample", "--type", "A2", "--lambda", "1,1", "--resolution", "2"),
+    ("laplace-check", "--type", "A2", "--lambda", "2,1"),
+])
+def test_cap_reaches_command(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--cap", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("CapExceeded:")
+
+
 def test_usage_error_exit_code(capsys):
     rc, _, _ = run(capsys, "orbit", "--type", "A2")  # missing --lambda
     assert rc == 1

@@ -4,6 +4,7 @@ import cmath
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylorbits.cyclotomic import Cyc, cyclotomic_poly
 
@@ -94,3 +95,50 @@ def test_hash_consistent_with_eq():
     a = Cyc.root(6, 1) + Cyc.root(6, 5)
     b = Cyc.from_rational(6, 1)
     assert a == b and hash(a) == hash(b)
+
+
+MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 12)
+_coeff = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _cycs(draw, k):
+    """``k`` elements of one Q(zeta_m), m drawn from MODULI."""
+    m = draw(st.sampled_from(MODULI))
+    return [Cyc(m, draw(st.lists(_coeff, min_size=m, max_size=m))) for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cycs(3))
+def test_ring_laws(abc):
+    a, b, c = abc
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cycs(2))
+def test_conj_is_an_involutive_automorphism(ab):
+    a, b = ab
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conj().conj() == a
+    norm = a * a.conj()
+    assert norm.conj() == norm
+    assert abs(norm.to_complex().imag) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cycs(1), st.integers(0, 11), st.integers(-3, 3))
+def test_eq_and_hash_agree_on_reduced_value(cycs, shift, k):
+    (a,) = cycs
+    m = a.m
+    # adding a multiple of the m-th cyclotomic polynomial keeps the value
+    coeffs = list(a.coeffs)
+    for i, c in enumerate(cyclotomic_poly(m)):
+        coeffs[(i + shift) % m] += k * c
+    b = Cyc(m, coeffs)
+    assert a == b and hash(a) == hash(b)
+    assert a.reduced() == b.reduced()

@@ -1,12 +1,15 @@
 """Continuous quadrature transforms and exact finite lattice transforms."""
 
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
 import weylorbits as w
+import weylorbits.transform as transform_mod
 from weylorbits.cyclotomic import Cyc
+from weylorbits.orbit_fn import eval_exact_cyc, orbit_function
 from weylorbits.transform import (
     SpectrumEntry,
     build_quadrature,
@@ -158,6 +161,35 @@ def test_separates():
         separates(_wt("A2", (-1, 0)), lam, 4)
 
 
+def _separates_pairwise(lam, mu, m):
+    """Reference: no two distinct orbit points congruent coordinate-wise mod m."""
+    pts = list(dict.fromkeys(w.orbit(lam).points + w.orbit(mu).points))
+    return not any(
+        all((a - b) % m == 0 for a, b in zip(p.coords, q.coords))
+        for i, p in enumerate(pts)
+        for q in pts[i + 1:]
+    )
+
+
+def _pool(name, top=3):
+    rs = w.root_system(name)
+    return [w.weight(rs, c) for c in iproduct(range(top), repeat=rs.rank)]
+
+
+def test_separates_matches_pairwise_collisions():
+    cases = [("A2", range(1, 7)), ("C2", range(1, 7)), ("G2", range(1, 7)), ("A3", (2, 3))]
+    seen = set()
+    for name, ms in cases:
+        pool = _pool(name)
+        for m in ms:
+            for i, lam in enumerate(pool):
+                for mu in pool[i:]:
+                    got = separates(lam, mu, m)
+                    assert got == _separates_pairwise(lam, mu, m), (name, m, lam, mu)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
 def test_minimal_separating_m():
     assert minimal_separating_m([_wt("A2", (1, 1))]) == 4
     assert minimal_separating_m([_wt("A2", (1, 0)), _wt("A2", (0, 1))]) == 3
@@ -181,6 +213,35 @@ def test_tm_scalar_product_orthogonality():
                     assert got.as_rational() == 0
 
 
+def _tm_sum(lam, mu, m):
+    """Reference: the scalar product as an explicit sum over the lattice."""
+    f, g = orbit_function(lam), orbit_function(mu)
+    total = Cyc.zero(m)
+    for x in w.lattice_tm(lam.rs, m):
+        total = total + eval_exact_cyc(f, x, modulus=m) * eval_exact_cyc(g, x, modulus=m).conj()
+    return total
+
+
+@pytest.mark.parametrize("name,ms,top", [
+    ("A2", (1, 2, 3, 5), 3),
+    ("C2", (1, 3, 4), 3),
+    ("G2", (2, 5), 3),
+    ("A3", (1, 2, 3), 2),
+    ("B3", (2,), 2),
+])
+def test_tm_scalar_product_matches_lattice_sum(name, ms, top):
+    pool = _pool(name, top)
+    unseparated = 0
+    for m in ms:
+        for i, lam in enumerate(pool):
+            for mu in pool[i:]:
+                got = tm_scalar_product(lam, mu, m)
+                want = _tm_sum(lam, mu, m)
+                assert got == want and got.reduced() == want.reduced(), (m, lam, mu)
+                unseparated += not separates(lam, mu, m)
+    assert unseparated
+
+
 def test_tm_scalar_product_guards():
     lam = _wt("A2", (1, 0))
     with pytest.raises(w.CapExceeded):
@@ -191,6 +252,20 @@ def test_tm_scalar_product_guards():
         tm_scalar_product(_wt("A2", (-1, 0)), lam, 4)
     with pytest.raises(w.DomainError):
         tm_scalar_product(_wt("A2", (F(1, 2), 0)), lam, 4)
+
+
+def _full_lattice_forward(f, lambdas, m):
+    """Reference: coefficients from the sum over every lattice point."""
+    pts = w.lattice_tm(lambdas[0].rs, m)
+    n = lambdas[0].rs.rank
+    out = {}
+    for lam in lambdas:
+        func = orbit_function(lam)
+        acc = Cyc.zero(m)
+        for x in pts:
+            acc = acc + f(x) * eval_exact_cyc(func, x, modulus=m).conj()
+        out[lam.coords] = (acc * F(1, m**n * w.orbit_size(lam))).as_rational()
+    return out
 
 
 def test_finite_forward_exact():
@@ -206,8 +281,7 @@ def test_finite_forward_exact():
     got = {e.weight.coords: e.coeff for e in rec}
     assert got == {(1, 0): F(3, 2), (0, 1): F(-2), (1, 1): F(5)}
     assert all(isinstance(e.coeff, F) for e in rec)
-    rec_full = finite_forward(f, lams, 6, method="full")
-    assert {e.weight.coords: e.coeff for e in rec_full} == got
+    assert _full_lattice_forward(f, lams, 6) == got
 
 
 def test_finite_forward_float():
@@ -230,8 +304,6 @@ def test_finite_forward_errors():
     assert exc.value.pair is not None
     with pytest.raises(w.DomainError):
         finite_forward(lambda x: 1, [], 4)
-    with pytest.raises(w.DomainError):
-        finite_forward(lambda x: 1, [lam], 4, method="bogus")
 
 
 def test_synthesize_spectrum_exact_values():
@@ -242,6 +314,24 @@ def test_synthesize_spectrum_exact_values():
     assert isinstance(val, Cyc)
     # phi_(1,0)(1/3,1/3) = 1 + 2 cos(2 pi / 3) = 0
     assert val.is_rational() and val.as_rational() == 0
+
+
+def test_synthesize_spectrum_builds_orbit_functions_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orbit_function(*args, **kwargs)
+
+    monkeypatch.setattr(transform_mod, "orbit_function", counting)
+    rs = w.root_system("A2")
+    lams = [w.weight(rs, (1, 0)), w.weight(rs, (1, 1))]
+    for coeffs in [(F(2), F(-1, 3)), (F(2), 0.5j)]:  # exact and complex paths
+        calls.clear()
+        f = synthesize_spectrum([SpectrumEntry(l, c) for l, c in zip(lams, coeffs)], m=4)
+        for x in w.lattice_tm(rs, 4):
+            f(x)
+        assert len(calls) <= len(lams)
 
 
 def test_finite_fourier_unitary():
