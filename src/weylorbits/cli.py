@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--method", choices=("auto", "brute", "fastpath"), default="auto")
+    p.add_argument("--method", choices=("auto", "brute"), default="auto")
     p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("branch", help="branch an orbit to a subsystem")

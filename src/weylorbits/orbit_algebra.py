@@ -2,10 +2,12 @@
 
 The product of two orbits ``O(lam) (x) O(mu)`` is the multiset
 ``{nu1 + nu2}`` over all point pairs, regrouped into dominant orbits.
-Brute-force regrouping is always available and serves as the reference;
-for favorable configurations the decomposition follows directly from
-the translated points ``w.lam + mu`` and is computed without touching
-the full point-pair set (see :func:`product_fastpath_classify`).
+It is computed by double cosets, with no pair loop: each W-orbit of pairs
+meets ``O(lam) x {mu}`` once, in a point ``a`` dominant for ``W_mu``
+(``a_j >= 0`` wherever ``mu_j = 0``), and adds ``|W_nu| / |W_J|`` copies
+of ``O(nu)``: ``nu = dom(a + mu)``, and ``W_J = W_a & W_mu`` is the
+parabolic subgroup on ``J = {j : a_j = 0 = mu_j}``.  Regrouping every
+point pair (``method="brute"``) stays as the reference.
 
 Branching carries an orbit of a system to an orbit sum of a subsystem,
 either through an explicit integer projection matrix acting on
@@ -28,7 +30,7 @@ from .errors import (
     UnknownPair,
     UnsupportedType,
 )
-from .root_system import RootSystem, dynkin_components, root_system
+from .root_system import RootSystem, dynkin_components, parabolic_order, root_system
 from .weights import (
     Weight,
     inner_product,
@@ -36,8 +38,7 @@ from .weights import (
     is_strictly_dominant,
     weight_to_point,
 )
-from .weyl import _bonds, _dominate, _scale, _scaled_orbit, _unscale
-from .weyl import dominant_representative, orbit, orbit_size, stabilizer_order
+from .weyl import _bonds, _dominate, _scale, _scaled_orbit, _unscale, orbit_size
 
 
 def _height_key(lam: Weight):
@@ -99,12 +100,13 @@ def _check_product_args(lam: Weight, mu: Weight, cap: int) -> None:
 
 
 def product_fastpath_classify(lam: Weight, mu: Weight) -> str:
-    """Which closed-form decomposition applies to ``O(lam) (x) O(mu)``.
+    """Classify ``O(lam) (x) O(mu)`` by its translated points ``w.lam + mu``.
 
-    Returns one of ``"StrictAll"`` (every translated point ``w.lam + mu``
-    is strictly dominant), ``"DominantAll"`` (every translated point is
-    dominant), ``"SeparatedGeneric"`` (``mu`` strictly dominant and no
-    translated point touches a reflection hyperplane), or ``"General"``.
+    A diagnostic only: :func:`product` selects no code by it.  Returns
+    one of ``"StrictAll"`` (every translated point is strictly
+    dominant), ``"DominantAll"`` (every translated point is dominant),
+    ``"SeparatedGeneric"`` (``mu`` strictly dominant and no translated
+    point touches a reflection hyperplane), or ``"General"``.
     """
     if lam.rs != mu.rs:
         raise MismatchedSystem(f"{lam.rs.name} does not match {mu.rs.name}")
@@ -156,39 +158,40 @@ def _product_brute(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
     return _regroup(counts, lam.rs, d)
 
 
-def _product_fastpath(lam: Weight, mu: Weight, kind: str, cap: int) -> OrbitSum:
-    """Each translated point ``s`` stands for one orbit; under ``DominantAll``
-    for ``|W_s| / |W_mu|`` of them: ``s_j = 0`` wherever ``mu_j = 0``
-    (``O(lam)`` is closed under ``r_j``), so ``W_mu`` fixes ``s``."""
-    if kind not in ("StrictAll", "DominantAll", "SeparatedGeneric"):
-        raise DomainError(f"no fast path for class {kind!r}")
+def _product_cosets(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
+    """The double-coset sum over the smaller orbit; where ``mu_j = 0``,
+    the translated point ``s = a + mu`` has ``s_j = a_j``."""
+    if orbit_size(lam) > orbit_size(mu):
+        lam, mu = mu, lam
+    rs = lam.rs
     d, shifts = _shifts(lam, mu, cap)
-    bonds = _bonds(lam.rs)
-    stab_mu = stabilizer_order(mu)
+    fixed = [j for j, c in enumerate(mu.coords) if c == 0]
+    bonds = _bonds(rs)
     terms: Counter = Counter()
     for s in shifts:
-        rep = Weight(lam.rs, _unscale(_dominate(s, bonds)[0], d))
-        terms[rep] += stabilizer_order(rep) // stab_mu if kind == "DominantAll" else 1
-    return OrbitSum.from_counter(lam.rs, terms)
+        if all(s[j] >= 0 for j in fixed):
+            nu = _dominate(s, bonds)[0]
+            stab = tuple(j for j, c in enumerate(nu) if c == 0)
+            shared = tuple(j for j in fixed if s[j] == 0)
+            terms[nu] += parabolic_order(rs, stab) // parabolic_order(rs, shared)
+    reps = {Weight(rs, _unscale(v, d)): c for v, c in terms.items()}
+    return OrbitSum.from_counter(rs, reps)
 
 
 def product(lam: Weight, mu: Weight, cap: int = 10**7, method: str = "auto") -> OrbitSum:
     """Decompose ``O(lam) (x) O(mu)`` into an orbit sum.
 
-    ``method`` may be ``"auto"`` (use a closed form when one applies),
-    ``"brute"`` (always regroup the full point-pair multiset) or
-    ``"fastpath"`` (require a closed form, else raise).
+    ``method="auto"`` sums one term per W-class of point pairs: the class
+    of ``(a, mu)``, ``a`` in ``O(lam)`` dominant for ``W_mu``, adds
+    ``|W_nu| / |W_J|`` copies of ``O(nu)``, ``nu = dom(a + mu)``,
+    ``J = {j : a_j = 0 = mu_j}``.  ``"brute"`` regroups every point pair.
     """
     _check_product_args(lam, mu, cap)
-    if method not in ("auto", "brute", "fastpath"):
-        raise DomainError(f"unknown product method {method!r}")
-    if method != "brute":
-        kind = product_fastpath_classify(lam, mu)
-        if kind != "General":
-            return _product_fastpath(lam, mu, kind, cap)
-        if method == "fastpath":
-            raise DomainError("no closed-form decomposition applies")
-    return _product_brute(lam, mu, cap)
+    if method == "auto":
+        return _product_cosets(lam, mu, cap)
+    if method == "brute":
+        return _product_brute(lam, mu, cap)
+    raise DomainError(f"unknown product method {method!r}")
 
 
 def conjecture_probe(lam: Weight, mu: Weight, cap: int = 10**6) -> list[dict]:
@@ -207,27 +210,24 @@ def conjecture_probe(lam: Weight, mu: Weight, cap: int = 10**6) -> list[dict]:
         return []
     reports: list[dict] = []
     decomp = _product_brute(lam, mu, cap).as_dict()
-    shifts = [p + mu for p in orbit(lam).points]
+    d, shifts = _shifts(lam, mu, cap)
     if is_strictly_dominant(mu):
         for s in shifts:
-            if is_strictly_dominant(s) and decomp.get(s.coords, 0) != 1:
+            shift = _unscale(s, d)
+            if min(s) > 0 and decomp.get(shift, 0) != 1:
                 reports.append(
                     {
                         "claim": "strict-shift multiplicity",
                         "lam": lam.coords,
                         "mu": mu.coords,
-                        "shift": s.coords,
-                        "multiplicity": decomp.get(s.coords, 0),
+                        "shift": shift,
+                        "multiplicity": decomp.get(shift, 0),
                     }
                 )
-    fixed = {j for j, c in enumerate(mu.coords) if c == 0}
-    if all(
-        all(s.coords[j] > 0 for j in range(lam.rs.rank) if j not in fixed)
-        for s in shifts
-    ):
-        expected: Counter = Counter()
-        for s in shifts:
-            expected[dominant_representative(s)[0].coords] += 1
+    moved = [j for j, c in enumerate(mu.coords) if c != 0]
+    if all(s[j] > 0 for s in shifts for j in moved):
+        bonds = _bonds(lam.rs)
+        expected = Counter(_unscale(_dominate(s, bonds)[0], d) for s in shifts)
         if dict(expected) != decomp:
             reports.append(
                 {

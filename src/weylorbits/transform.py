@@ -85,6 +85,7 @@ class QuadratureRule:
 
 
 _GAUSS_Q = 5
+_GRAM_CHUNK = 150_000  # nodes per block of orthogonality_gram
 _rule_cache: dict[tuple[str, int], QuadratureRule] = {}
 
 
@@ -195,12 +196,12 @@ def inverse_transform(spectrum: Sequence[SpectrumEntry], x: Point) -> complex:
 
 def synthesize(spectrum: Sequence[SpectrumEntry]):
     """Vectorized callable summing the spectrum on an (N, rank) array."""
+    terms = [(e.coeff_complex(), orbit_function(e.weight)) for e in spectrum]
 
     def g(nodes: np.ndarray) -> np.ndarray:
         total = np.zeros(nodes.shape[0], dtype=complex)
-        for entry in spectrum:
-            f = orbit_function(entry.weight)
-            total = total + entry.coeff_complex() * eval_many(f, nodes)
+        for c, f in terms:
+            total = total + c * eval_many(f, nodes)
         return total
 
     return g
@@ -219,16 +220,11 @@ def plancherel(
     return float(spectral), float(avg.real)
 
 
-def orthogonality_gram(
-    rs: RootSystem,
-    lambdas: Sequence[Weight],
-    level: int,
-    chunk: int = 150_000,
-) -> np.ndarray:
+def orthogonality_gram(rs: RootSystem, lambdas: Sequence[Weight], level: int) -> np.ndarray:
     """Gram matrix of orbit functions under the domain average.
 
     Expected to be ``diag(|O(lambda)|)`` in exact arithmetic; computed
-    in node chunks so rank-3 rules stay within memory.
+    in chunks of ``_GRAM_CHUNK`` nodes so rank-3 rules stay within memory.
     """
     for lam in lambdas:
         _check_weight(rs, lam)
@@ -237,8 +233,8 @@ def orthogonality_gram(
     gram = np.zeros((k, k), dtype=complex)
     funcs = [orbit_function(lam) for lam in lambdas]
     n = rule.nodes.shape[0]
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, _GRAM_CHUNK):
+        sl = slice(start, min(start + _GRAM_CHUNK, n))
         block = np.empty((sl.stop - sl.start, k), dtype=complex)
         for j, f in enumerate(funcs):
             block[:, j] = eval_many(f, rule.nodes[sl])

@@ -58,6 +58,14 @@ def test_product_csv_method(capsys):
         "0,0": "4", "0,1": "2", "2,0": "1"}
 
 
+def test_product_rejects_fastpath_method(capsys):
+    """``fastpath`` is no longer a method: a usage error, like any bad choice."""
+    rc, out, err = run(capsys, "product", "--type", "A2", "--lambda", "1,0",
+                       "--mu", "1,1", "--method", "fastpath")
+    assert rc == 1 and out == ""
+    assert "invalid choice: 'fastpath'" in err
+
+
 def test_branch_matches_library(capsys):
     rc, out, _ = run(capsys, "branch", "--type", "C3", "--target", "C2",
                      "--lambda", "1,1,1")

@@ -1,8 +1,12 @@
 """Orbit products, branchings and congruence classes."""
 
+from fractions import Fraction as F
+from itertools import product as tuples
+
 import pytest
 
 import weylorbits as w
+from weylorbits import orbit_algebra
 from weylorbits.orbit_algebra import product_fastpath_classify
 
 from tables import (
@@ -53,7 +57,7 @@ def test_product_commutes_and_counts(rng):
             assert left.total_points() == w.orbit_size(lam) * w.orbit_size(mu)
 
 
-def test_brute_and_fastpath_agree(rng):
+def test_brute_and_auto_agree(rng):
     from conftest import random_dominant
     hits = 0
     for name in ("A2", "C2", "G2", "A3", "C3"):
@@ -61,12 +65,54 @@ def test_brute_and_fastpath_agree(rng):
         for _ in range(8):
             lam = random_dominant(rs, rng)
             mu = random_dominant(rs, rng)
-            brute = w.product(lam, mu, method="brute")
-            assert w.product(lam, mu, method="auto") == brute
-            if product_fastpath_classify(lam, mu) != "General":
-                assert w.product(lam, mu, method="fastpath") == brute
-                hits += 1
-    assert hits > 0
+            assert w.product(lam, mu, method="auto") == w.product(lam, mu, method="brute")
+            hits += product_fastpath_classify(lam, mu) != "General"
+    assert 0 < hits < 40  # both closed-form and General classes are met
+
+
+def _pool(rs, values):
+    return [w.weight(rs, c) for c in tuples(values, repeat=rs.rank)]
+
+
+def test_auto_equals_brute_exhaustive():
+    """Same terms in the same order, with the same Fraction coordinates."""
+    cases = [(name, (0, 1, 2)) for name in ("A1", "A2", "C2", "G2")]
+    cases += [(name, (0, 1)) for name in ("A3", "B3", "C3", "C2xA1")]
+    pairs = [(lam, mu) for name, values in cases
+             for lam in _pool(w.root_system(name), values)
+             for mu in _pool(w.root_system(name), values)]
+    for name, lam, mu in [("A2", (F(1, 3), F(2, 3)), (1, 0)),
+                          ("C2", (F(1, 2), 0), (F(1, 2), F(1, 3))),
+                          ("G2", (F(1, 5), F(2, 7)), (0, F(1, 2))),
+                          ("B3", (0, F(1, 2), 0), (1, 0, F(3, 2)))]:
+        rs = w.root_system(name)
+        pairs.append((w.weight(rs, lam), w.weight(rs, mu)))
+    for lam, mu in pairs:
+        auto = w.product(lam, mu).terms
+        brute = w.product(lam, mu, method="brute").terms
+        assert auto == brute, (lam, mu)
+        assert all(type(c) is F for t, _ in auto for c in t.coords)
+
+
+def test_auto_reaches_no_pair_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("auto fell back to the pair loop")
+
+    monkeypatch.setattr(orbit_algebra, "_product_brute", refuse)
+    rs = w.root_system("G2")
+    lam, mu = w.weight(rs, (1, 2)), w.weight(rs, (2, 1))
+    assert product_fastpath_classify(lam, mu) == "General"
+    out = w.product(lam, mu)
+    assert out.total_points() == 12 * 12
+
+
+def test_e8_product_conserves_points():
+    """E8 omega_7 x omega_7: 4.7M point pairs, class General."""
+    rs = w.root_system("E8")
+    om7 = w.weight(rs, (0, 0, 0, 0, 0, 0, 1, 0))
+    out = w.product(om7, om7)
+    assert out.total_points() == w.orbit_size(om7) ** 2
+    assert all(w.is_dominant(t) for t, _ in out.terms)
 
 
 def test_classifier_golden():
@@ -93,8 +139,9 @@ def test_product_errors():
         w.product(w.weight(a2, (-1, 0)), w.weight(a2, (1, 0)))
     with pytest.raises(w.CapExceeded):
         w.product(w.weight(a2, (1, 1)), w.weight(a2, (1, 1)), cap=30)
-    with pytest.raises(w.DomainError):
-        w.product(w.weight(a2, (1, 0)), w.weight(a2, (1, 0)), method="quick")
+    for method in ("quick", "fastpath"):  # a DominantAll pair: fastpath would not raise
+        with pytest.raises(w.DomainError):
+            w.product(w.weight(a2, (1, 0)), w.weight(a2, (1, 1)), method=method)
 
 
 def test_conjecture_probe_is_clean(rng):

@@ -334,6 +334,24 @@ def test_synthesize_spectrum_builds_orbit_functions_once(monkeypatch):
         assert len(calls) <= len(lams)
 
 
+def test_synthesize_builds_orbit_functions_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orbit_function(*args, **kwargs)
+
+    monkeypatch.setattr(transform_mod, "orbit_function", counting)
+    rs = w.root_system("A2")
+    spec = [SpectrumEntry(w.weight(rs, (1, 0)), 0.5), SpectrumEntry(w.weight(rs, (1, 1)), -0.25j)]
+    g = synthesize(spec)
+    made = len(calls)
+    nodes = np.array([[0.21, 0.34], [0.1, 0.05]])
+    first = g(nodes)
+    assert np.array_equal(g(nodes), first)
+    assert len(calls) == made <= len(spec)
+
+
 def test_finite_fourier_unitary():
     rng = np.random.default_rng(20260814)
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
