@@ -6,7 +6,9 @@ the origin and the fundamental coweights divided by the comarks.  This
 module reduces arbitrary points into F, enumerates the two natural
 finite point families (the level grid inside F and the full torsion
 lattice of a given denominator) and classifies points by the orders at
-which their multiples return to the coweight and coroot lattices.
+which their multiples return to the coweight and coroot lattices.  The
+level-``m`` grid points in ``(1/m) Q^vee``, each weighted by its
+:func:`orbit_count`, stand for the whole torsion lattice of order ``m``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from fractions import Fraction
 from itertools import product as iproduct
 from operator import mul
 
+from ._linalg import block_diagonal
 from .errors import (
     CapExceeded,
     DomainError,
     NonTermination,
     UnsupportedType,
 )
-from .root_system import RootSystem, factor_slices
+from .root_system import RootSystem, factor_slices, parabolic_order
 from .weights import Point, Weight, weight_to_point, zero_point
 from .weyl import _scale, _unscale
 
@@ -169,6 +172,20 @@ def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
     return pts
 
 
+def orbit_count(gp: GridPoint) -> int:
+    """Size ``|W| / |Stab|`` of the W-orbit of a grid point on the torus
+    ``R^n / Q^vee``; ``Stab`` is the parabolic subgroup of the extended
+    Dynkin diagram (nodes in Kac-label order) on the labels that are 0,
+    never the whole diagram since the labels sum to the level."""
+    blocks = [
+        [(2, *(-int(a) for a in f.xi_omega))]
+        + [(-sum(map(mul, f.comarks, row)), *row) for row in f.cartan_int]
+        for f in gp.rs.factors
+    ]
+    zero = [k for k, s in enumerate(gp.kac) if s == 0]
+    return gp.rs.weyl_order // parabolic_order(block_diagonal(blocks), zero)
+
+
 def lattice_tm(rs: RootSystem, m: int, cap: int = 10**7) -> list[Point]:
     """The ``m**rank`` torsion points ``(1/m) * coroot lattice mod 1``."""
     if m < 1:
@@ -226,9 +243,9 @@ class RationalElement:
 _RATIONAL_TABLE_TYPES = {"A1", "A2", "A3", "A4", "C2", "G2", "B3", "C3"}
 
 
-def rational_elements(rs: RootSystem, max_level: int) -> list[RationalElement]:
+def rational_elements(rs: RootSystem, max_level: int, cap: int = 10**7) -> list[RationalElement]:
     """All rational conjugacy-class representatives up to adjoint order
-    ``max_level``, sorted by (order, kac)."""
+    ``max_level``, sorted by (order, kac); ``cap`` bounds each grid."""
     if rs.name not in _RATIONAL_TABLE_TYPES:
         raise UnsupportedType(
             f"rational-element tables cover {sorted(_RATIONAL_TABLE_TYPES)},"
@@ -236,7 +253,7 @@ def rational_elements(rs: RootSystem, max_level: int) -> list[RationalElement]:
         )
     out = []
     for level in range(1, max_level + 1):
-        for gp in grid_fm(rs, level):
+        for gp in grid_fm(rs, level, cap):
             if math.gcd(*gp.kac) != 1:
                 continue
             if not is_rational_element(gp.point):

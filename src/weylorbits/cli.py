@@ -187,7 +187,7 @@ def _cmd_tm(args) -> str:
 
 def _cmd_rational(args) -> str:
     rs = root_system(args.type)
-    rows = rational_elements(rs, args.max_level)
+    rows = rational_elements(rs, args.max_level, cap=args.cap)
     if args.format == "json":
         return _compact(
             [

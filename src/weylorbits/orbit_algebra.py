@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, mul
 from typing import Sequence
 
@@ -41,16 +42,17 @@ from .weights import (
 from .weyl import _bonds, _dominate, _scale, _scaled_orbit, _unscale, orbit_size
 
 
+@lru_cache(maxsize=64)
+def _heights(rs: RootSystem) -> tuple:
+    """Row sums of ``cartan_inv``: entry ``i`` is the height of ``omega_i``."""
+    return tuple(sum(row) for row in rs.cartan_inv)
+
+
 def _height_key(lam: Weight):
     # Height of the weight in the simple-root basis, then the coordinates
     # themselves; sorting descending on this key puts the highest
     # component first.
-    inv = lam.rs.cartan_inv
-    n = lam.rs.rank
-    root_coords = tuple(
-        sum(lam.coords[i] * inv[i][j] for i in range(n)) for j in range(n)
-    )
-    return (sum(root_coords), lam.coords)
+    return (sum(map(mul, lam.coords, _heights(lam.rs))), lam.coords)
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,14 @@ def _product_cosets(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
     rs = lam.rs
     d, shifts = _shifts(lam, mu, cap)
     fixed = [j for j, c in enumerate(mu.coords) if c == 0]
-    bonds = _bonds(rs)
+    bonds, cartan = _bonds(rs), rs.cartan_int
     terms: Counter = Counter()
     for s in shifts:
         if all(s[j] >= 0 for j in fixed):
             nu = _dominate(s, bonds)[0]
             stab = tuple(j for j, c in enumerate(nu) if c == 0)
             shared = tuple(j for j in fixed if s[j] == 0)
-            terms[nu] += parabolic_order(rs, stab) // parabolic_order(rs, shared)
+            terms[nu] += parabolic_order(cartan, stab) // parabolic_order(cartan, shared)
     reps = {Weight(rs, _unscale(v, d)): c for v, c in terms.items()}
     return OrbitSum.from_counter(rs, reps)
 

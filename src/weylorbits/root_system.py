@@ -357,13 +357,14 @@ def dynkin_components(cartan, nodes) -> list[list[int]]:
     return sorted(components)
 
 
-def parabolic_order(rs: RootSystem, indices: tuple[int, ...]) -> int:
-    """Order of the subgroup generated by the simple reflections in ``indices``.
+def parabolic_order(cartan, indices) -> int:
+    """Order of the subgroup generated by the reflections in ``indices``.
 
+    ``cartan`` holds the rows of a Cartan matrix, finite or extended, and
     ``indices`` are 0-based node positions; the subgroup is a product of
     Weyl groups of the connected components of the induced sub-diagram.
     """
     order = 1
-    for comp in dynkin_components(rs.cartan_int, indices):
-        order *= _component_order(rs.cartan_int, comp)
+    for comp in dynkin_components(cartan, indices):
+        order *= _component_order(cartan, comp)
     return order

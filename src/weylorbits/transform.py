@@ -16,8 +16,9 @@ computed in closed form from orbit residues mod ``m``.  Summing
 congruent pairs in ``O(lam) x O(mu)``, and ``m`` separates the two orbits
 when no such pair exists apart from a point with itself.  Expansion
 coefficients of a function over separated weights are recovered exactly
-from the fundamental-domain representatives of the lattice with their
-preimage counts.
+from the level-``m`` grid points of F in ``(1/m) Q^vee`` alone, each
+weighted by its torus orbit count ``|W| / |Stab|`` (Moody & Patera, Adv.
+Appl. Math. 47 (2011)); no lattice point is enumerated or reduced.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .affine import lattice_tm, reduce_to_fundamental
+from .affine import fundamental_vertices, grid_fm, orbit_count
 from .cyclotomic import Cyc
 from .errors import (
     CapExceeded,
@@ -45,7 +46,6 @@ from .root_system import RootSystem, root_system
 from .weights import Point, Weight, is_dominant
 from .weyl import _scaled_orbit, orbit, orbit_size
 from .orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
-from .affine import fundamental_vertices
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,10 @@ def forward_transform(
 
 
 def inverse_transform(spectrum: Sequence[SpectrumEntry], x: Point) -> complex:
-    total = complex(0)
-    for entry in spectrum:
-        total += entry.coeff_complex() * eval_fn(orbit_function(entry.weight), x)
-    return total
+    """The spectrum summed at one point, as a complex number.  Each call
+    builds the orbit functions anew: for many points, build
+    ``synthesize_spectrum(spectrum)`` once and call it instead."""
+    return synthesize_spectrum(spectrum)(x)
 
 
 def synthesize(spectrum: Sequence[SpectrumEntry]):
@@ -311,22 +311,6 @@ def tm_scalar_product(lam: Weight, mu: Weight, m: int, cap: int = 10**7) -> Cyc:
     return Cyc.from_rational(m, points * sum(c * b[r] for r, c in a.items()))
 
 
-def _fundamental_representatives(rs: RootSystem, m: int, cap: int):
-    reps: dict[tuple, tuple[Point, int]] = {}
-    for x in lattice_tm(rs, m, cap=cap):
-        red = reduce_to_fundamental(x)[0]
-        key = red.coords
-        if key in reps:
-            reps[key] = (reps[key][0], reps[key][1] + 1)
-        else:
-            reps[key] = (red, 1)
-    return [reps[k] for k in sorted(reps)]
-
-
-def _is_exact_value(v) -> bool:
-    return isinstance(v, (int, Fraction, Cyc)) and not isinstance(v, bool)
-
-
 def finite_forward(
     f: Callable[[Point], object],
     lambdas: Sequence[Weight],
@@ -335,11 +319,12 @@ def finite_forward(
 ) -> list[SpectrumEntry]:
     """Expansion coefficients of ``f`` over the order-``m`` lattice.
 
-    ``f`` is called on the fundamental-domain representatives of the
-    lattice points, each weighted by its preimage count; exact return
-    values keep the whole computation in cyclotomic arithmetic.  Raises
-    :class:`SeparationFailure` when the lattice cannot tell two of the
-    requested weights apart.
+    ``f`` is read as W-invariant: called once on each point of ``T_m``
+    in the fundamental domain, in coordinate order, weighted by its
+    torus orbit count (:func:`~weylorbits.affine.orbit_count`).  ``cap``
+    bounds the grid points, not ``m**rank``.  Int, Fraction and
+    :class:`Cyc` values keep the sum exact, others make it complex.
+    Raises :class:`SeparationFailure` when ``m`` does not separate two weights.
     """
     if not lambdas:
         raise DomainError("need at least one weight")
@@ -350,31 +335,26 @@ def finite_forward(
             f"order {m} does not separate {a.coords} and {b.coords}", pair=pair
         )
     rs = lambdas[0].rs
-    pts = _fundamental_representatives(rs, m, cap)
+    pts = [
+        (gp.point, orbit_count(gp))
+        for gp in sorted(grid_fm(rs, m, cap), key=lambda gp: gp.point.coords)
+        if all(m % c.denominator == 0 for c in gp.point.coords)  # gp is in T_m
+    ]
     values = [f(x) for x, _ in pts]
-    exact = all(_is_exact_value(v) for v in values)
-    n = rs.rank
+    exact = all(isinstance(v, (int, Fraction, Cyc)) and not isinstance(v, bool) for v in values)
+    values = values if exact else [complex(v) for v in values]
     entries = []
     for lam in lambdas:
         func = orbit_function(lam)
-        size = orbit_size(lam)
-        if exact:
-            acc = Cyc.zero(m)
-            for (x, count), v in zip(pts, values):
-                phi_bar = eval_exact_cyc(func, x, modulus=m).conj()
-                term = phi_bar * v if isinstance(v, (int, Fraction)) else (
-                    v if isinstance(v, Cyc) else Cyc.from_rational(m, v)
-                ) * phi_bar
-                acc = acc + term * count
-            coeff_cyc = acc * Fraction(1, m**n * size)
-            coeff = (
-                coeff_cyc.as_rational() if coeff_cyc.is_rational() else coeff_cyc
-            )
-        else:
-            acc = complex(0)
-            for (x, count), v in zip(pts, values):
-                acc += count * complex(v) * eval_fn(func, x).conjugate()
-            coeff = acc / (m**n * size)
+        acc = Cyc.zero(m) if exact else complex(0)
+        for (x, count), v in zip(pts, values):
+            phi_bar = (eval_exact_cyc(func, x, modulus=m).conj() if exact
+                       else eval_fn(func, x).conjugate())
+            acc = acc + count * v * phi_bar
+        size = m**rs.rank * orbit_size(lam)
+        coeff = acc * Fraction(1, size) if exact else acc / size
+        if exact and coeff.is_rational():
+            coeff = coeff.as_rational()
         entries.append(SpectrumEntry(lam, coeff))
     return _sorted_spectrum(entries)
 
@@ -395,7 +375,7 @@ def synthesize_spectrum(spectrum: Sequence[SpectrumEntry], m: int | None = None)
                 val = eval_exact_cyc(func, x, modulus=m)
                 total = total + val * Fraction(e.coeff)
             return total
-        return sum(e.coeff_complex() * eval_fn(func, x) for e, func in terms)
+        return sum((e.coeff_complex() * eval_fn(func, x) for e, func in terms), complex(0))
 
     return f
 

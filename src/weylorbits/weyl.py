@@ -160,7 +160,7 @@ def stabilizer_order(lam: Weight) -> int:
     if not is_dominant(lam):
         raise DomainError("stabilizer formula requires a dominant weight")
     zero_nodes = tuple(j for j, a in enumerate(lam.coords) if a == 0)
-    return parabolic_order(lam.rs, zero_nodes) if zero_nodes else 1
+    return parabolic_order(lam.rs.cartan_int, zero_nodes) if zero_nodes else 1
 
 
 def orbit_size(lam: Weight) -> int:

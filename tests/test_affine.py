@@ -1,5 +1,6 @@
 """Fundamental-domain reduction, grids, torsion orders, rational points."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from weylorbits.affine import (
     interior_base_point,
     is_rational_element,
     lattice_tm,
+    orbit_count,
     rational_elements,
     reduce_to_fundamental,
     reflect_r0,
@@ -145,6 +147,30 @@ def test_lattice_tm():
     assert len({p.coords for p in pts}) == 9
     with pytest.raises(w.CapExceeded):
         lattice_tm(w.root_system("B3"), 100, cap=10)
+
+
+def _reduced_counts(rs, m):
+    """Reference: reduce every point of T_m into F and count the images."""
+    return Counter(reduce_to_fundamental(x)[0].coords for x in lattice_tm(rs, m))
+
+
+@pytest.mark.parametrize("name, top", [
+    ("A1", 8), ("A2", 8), ("C2", 10), ("G2", 10), ("A3", 5), ("B3", 4), ("C3", 4),
+    ("A4", 3), ("B4", 3), ("C4", 3), ("D4", 3), ("F4", 3), ("A1xG2", 4), ("C2xA1", 4),
+    ("E8", 2),
+])
+def test_orbit_count_matches_reduction(name, top):
+    """The grid points of F in (1/m) Q^vee, weighted by orbit_count, are
+    the images of T_m under reduction, with their multiplicities."""
+    rs = w.root_system(name)
+    for m in range(1, top + 1) if rs.rank < 8 else [top]:
+        grid = {
+            gp.point.coords: orbit_count(gp)
+            for gp in grid_fm(rs, m)
+            if all(m % c.denominator == 0 for c in gp.point.coords)
+        }
+        assert grid == _reduced_counts(rs, m), m
+        assert sum(grid.values()) == m**rs.rank
 
 
 def test_tm_level_for_grid():

@@ -218,6 +218,7 @@ def test_cap_exceeded_exit_code(capsys):
     ("eval", "--type", "E8", "--lambda", "0,0,0,0,0,0,1,0", "--point", "0,0,0,0,0,0,0,0"),
     ("sample", "--type", "A2", "--lambda", "1,1", "--resolution", "2"),
     ("laplace-check", "--type", "A2", "--lambda", "2,1"),
+    ("rational", "--type", "G2", "--max-level", "24"),  # level 4 has 4 grid points
 ])
 def test_cap_reaches_command(capsys, argv):
     rc, out, err = run(capsys, *argv, "--cap", "3")

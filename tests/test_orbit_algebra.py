@@ -323,3 +323,15 @@ def test_congruence_unsupported():
         w.congruence_modulus(w.root_system("B3"))
     with pytest.raises(w.UnsupportedType):
         w.congruence_number(w.weight(w.root_system("A1xA1"), (1, 0)))
+
+
+def test_height_key_matches_root_coordinates(rng):
+    """The cached heights give the key of the full simple-root expansion."""
+    for name in ("A3", "B3", "G2", "F4", "A1xG2"):
+        rs = w.root_system(name)
+        n = rs.rank
+        for _ in range(20):
+            coords = tuple(F(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(n))
+            lam = w.weight(rs, coords)
+            root = [sum(coords[i] * rs.cartan_inv[i][j] for i in range(n)) for j in range(n)]
+            assert orbit_algebra._height_key(lam) == (sum(root), coords)

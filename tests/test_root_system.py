@@ -137,13 +137,13 @@ def test_products():
 def test_parabolic_order_matches_composition():
     rs = w.root_system("F4")
     # sub-diagram on nodes {0,1} is a doubled bond at the end: order 8
-    assert parabolic_order(rs, [1, 2]) == 8
-    assert parabolic_order(rs, [0, 1, 2, 3]) == rs.weyl_order
-    assert parabolic_order(rs, []) == 1
+    assert parabolic_order(rs.cartan_int, [1, 2]) == 8
+    assert parabolic_order(rs.cartan_int, [0, 1, 2, 3]) == rs.weyl_order
+    assert parabolic_order(rs.cartan_int, []) == 1
     g2 = w.root_system("G2")
-    assert parabolic_order(g2, [0, 1]) == 12
+    assert parabolic_order(g2.cartan_int, [0, 1]) == 12
     e8 = w.root_system("E8")
-    assert parabolic_order(e8, list(range(8))) == 696729600
+    assert parabolic_order(e8.cartan_int, list(range(8))) == 696729600
 
 
 def test_parabolic_order_vs_enumeration(rng):

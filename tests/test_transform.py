@@ -8,8 +8,9 @@ import pytest
 
 import weylorbits as w
 import weylorbits.transform as transform_mod
+from weylorbits import affine
 from weylorbits.cyclotomic import Cyc
-from weylorbits.orbit_fn import eval_exact_cyc, orbit_function
+from weylorbits.orbit_fn import eval_exact_cyc, eval_fn, orbit_function
 from weylorbits.transform import (
     SpectrumEntry,
     build_quadrature,
@@ -261,6 +262,10 @@ def _full_lattice_forward(f, lambdas, m):
     out = {}
     for lam in lambdas:
         func = orbit_function(lam)
+        if isinstance(f(pts[0]), complex):
+            acc = sum(f(x) * eval_fn(func, x).conjugate() for x in pts)
+            out[lam.coords] = acc / (m**n * w.orbit_size(lam))
+            continue
         acc = Cyc.zero(m)
         for x in pts:
             acc = acc + f(x) * eval_exact_cyc(func, x, modulus=m).conj()
@@ -268,20 +273,58 @@ def _full_lattice_forward(f, lambdas, m):
     return out
 
 
+FORWARD_CASES = [
+    ("A2", [(1, 0), (0, 1), (1, 1)], 6, [F(3, 2), F(-2), F(5)]),
+    ("C2", [(1, 0), (0, 1), (1, 1)], 8, [F(1, 3), F(0), F(-7, 2)]),
+    ("G2", [(1, 0), (0, 1), (1, 1)], 7, [F(2), F(-1, 5), F(1)]),
+    ("B3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 4, [F(-1), F(3, 4), F(2)]),
+    ("A1xG2", [(1, 1, 0), (0, 0, 1), (1, 0, 1)], 5, [F(5), F(1, 2), F(-3)]),
+    ("G2", [(1, 0), (0, 1), (1, 1)], 7, [0.5 - 0.25j, 1.5, -2j]),  # complex spectrum
+]
+
+
 def test_finite_forward_exact():
+    for name, coords, m, coeffs in FORWARD_CASES:
+        rs = w.root_system(name)
+        lams = [w.weight(rs, c) for c in coords]
+        f = synthesize_spectrum([SpectrumEntry(l, c) for l, c in zip(lams, coeffs)], m=m)
+        rec = finite_forward(f, lams, m)
+        got = {e.weight.coords: e.coeff for e in rec}
+        want = _full_lattice_forward(f, lams, m)
+        if isinstance(coeffs[0], complex):
+            assert all(isinstance(e.coeff, complex) for e in rec)
+            for c, coeff in zip(coords, coeffs):
+                assert abs(got[c] - coeff) < 1e-12 and abs(got[c] - want[c]) < 1e-12
+        else:
+            assert got == dict(zip(coords, coeffs)) == want, name
+            assert all(isinstance(e.coeff, F) for e in rec)
+
+
+def test_finite_forward_cap_bounds_grid():
+    """``cap`` bounds the 45 grid points of A2 at m = 8, not the 64
+    lattice points."""
     rs = w.root_system("A2")
-    lams = [w.weight(rs, c) for c in [(1, 0), (0, 1), (1, 1)]]
-    spec = [
-        SpectrumEntry(lams[0], F(3, 2)),
-        SpectrumEntry(lams[1], F(-2)),
-        SpectrumEntry(lams[2], F(5)),
-    ]
-    f = synthesize_spectrum(spec, m=6)
-    rec = finite_forward(f, lams, 6)
-    got = {e.weight.coords: e.coeff for e in rec}
-    assert got == {(1, 0): F(3, 2), (0, 1): F(-2), (1, 1): F(5)}
-    assert all(isinstance(e.coeff, F) for e in rec)
-    assert _full_lattice_forward(f, lams, 6) == got
+    lams = [w.weight(rs, (1, 0)), w.weight(rs, (1, 1))]
+    f = synthesize_spectrum([SpectrumEntry(lams[0], F(2))], m=8)
+    with pytest.raises(w.CapExceeded):
+        finite_forward(f, lams, 8, cap=44)
+    rec = finite_forward(f, lams, 8, cap=45)
+    assert {e.weight.coords: e.coeff for e in rec} == {(1, 0): 2, (1, 1): 0}
+
+
+def test_finite_forward_reduces_no_point(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("affine reduction reached")
+
+    monkeypatch.setattr(affine, "_reduce_scaled", refuse)
+    with pytest.raises(RuntimeError):
+        w.reduce_to_fundamental(w.point(w.root_system("A2"), (F(1, 2), F(1, 3))))
+    for name, coords, m, coeffs in FORWARD_CASES[1:5]:
+        rs = w.root_system(name)
+        lams = [w.weight(rs, c) for c in coords]
+        f = synthesize_spectrum([SpectrumEntry(l, c) for l, c in zip(lams, coeffs)], m=m)
+        got = {e.weight.coords: e.coeff for e in finite_forward(f, lams, m)}
+        assert got == dict(zip(coords, coeffs))
 
 
 def test_finite_forward_float():
