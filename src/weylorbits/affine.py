@@ -8,7 +8,8 @@ finite point families (the level grid inside F and the full torsion
 lattice of a given denominator) and classifies points by the orders at
 which their multiples return to the coweight and coroot lattices.  The
 level-``m`` grid points in ``(1/m) Q^vee``, each weighted by its
-:func:`orbit_count`, stand for the whole torsion lattice of order ``m``.
+:func:`orbit_count`, stand for the whole torsion lattice of order ``m``;
+:func:`torsion_grid` lists them for both orbit-function transforms.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from operator import mul
 
 from ._linalg import block_diagonal
-from .errors import (
-    CapExceeded,
-    DomainError,
-    NonTermination,
-    UnsupportedType,
-)
+from .errors import CapExceeded, DomainError, NonTermination, UnsupportedType
 from .root_system import RootSystem, factor_slices, parabolic_order
-from .weights import Point, Weight, weight_to_point, zero_point
-from .weyl import _scale, _unscale
+from .weights import Point, Weight, _scale, _unscale, weight_to_point, zero_point
 
 
 def reflect_r0(x: Point) -> Point:
@@ -146,30 +142,48 @@ def _factor_kacs(f: RootSystem, level: int) -> list[tuple[int, ...]]:
     return out
 
 
-def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
-    """All level-``M`` grid points of the fundamental domain, in kac order."""
+def _scaled_grid(rs: RootSystem, level: int, cap: int) -> tuple[int, list]:
+    """``(dinv, [(kac, v), ...])`` for the level-``M`` grid of F, in kac
+    order: ``v`` holds the point's coroot coordinates times ``dinv * M``,
+    ``dinv`` the lcm of the denominators of ``cartan_inv``."""
     if level < 1:
         raise DomainError("grid level must be a positive integer")
-    per_factor = [(_factor_kacs(f, level), f) for f, _ in factor_slices(rs)]
+    per_factor = [_factor_kacs(f, level) for f, _ in factor_slices(rs)]
     total = 1
-    for kacs, _ in per_factor:
+    for kacs in per_factor:
         total *= len(kacs)
         if total > cap:
             raise CapExceeded(f"grid would have over {cap} points", total)
-    # Point coordinates are cartan_inv @ (s / level); in ints, scaled by
-    # level * lcm of the cartan_inv denominators.
+    # Point coordinates are cartan_inv @ (s / level); each factor's kacs
+    # are sorted, so their product comes in kac order.
     dinv, flat = _scale([c for row in rs.cartan_inv for c in row])
     n = rs.rank
     inv_rows = [flat[k * n:(k + 1) * n] for k in range(n)]
-    dpt = dinv * level
-    pts = []
-    for combo in iproduct(*(kacs for kacs, _ in per_factor)):
-        kac = tuple(s for block in combo for s in block)
+    grid = []
+    for combo in iproduct(*per_factor):
         s = [v for block in combo for v in block[1:]]
-        coords = _unscale([sum(map(mul, row, s)) for row in inv_rows], dpt)
-        pts.append(GridPoint(rs, level, kac, Point(rs, coords, exact=True)))
-    pts.sort(key=lambda g: g.kac)
-    return pts
+        grid.append((sum(combo, ()), [sum(map(mul, row, s)) for row in inv_rows]))
+    return dinv, grid
+
+
+def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
+    """All level-``M`` grid points of the fundamental domain, in kac order."""
+    dinv, grid = _scaled_grid(rs, level, cap)
+    return [
+        GridPoint(rs, level, kac, Point(rs, _unscale(v, dinv * level), exact=True))
+        for kac, v in grid
+    ]
+
+
+@lru_cache(maxsize=1024)
+def _orbit_count(rs: RootSystem, zero: tuple[int, ...]) -> int:
+    """:func:`orbit_count` of the grid points with zero Kac labels at ``zero``."""
+    ext = block_diagonal([
+        [(2, *(-int(a) for a in f.xi_omega))]
+        + [(-sum(map(mul, f.comarks, row)), *row) for row in f.cartan_int]
+        for f in rs.factors
+    ])
+    return rs.weyl_order // parabolic_order(ext, zero)
 
 
 def orbit_count(gp: GridPoint) -> int:
@@ -177,13 +191,22 @@ def orbit_count(gp: GridPoint) -> int:
     ``R^n / Q^vee``; ``Stab`` is the parabolic subgroup of the extended
     Dynkin diagram (nodes in Kac-label order) on the labels that are 0,
     never the whole diagram since the labels sum to the level."""
-    blocks = [
-        [(2, *(-int(a) for a in f.xi_omega))]
-        + [(-sum(map(mul, f.comarks, row)), *row) for row in f.cartan_int]
-        for f in gp.rs.factors
+    return _orbit_count(gp.rs, tuple(k for k, s in enumerate(gp.kac) if s == 0))
+
+
+def torsion_grid(rs: RootSystem, m: int, cap: int = 10**7) -> list[tuple[Point, int]]:
+    """The points of ``T_m`` in F with their :func:`orbit_count`, sorted by
+    coordinates: the level-``m`` grid points in ``(1/m) Q^vee``.  ``cap``
+    bounds the grid points enumerated.  The counts sum to ``m**rank``."""
+    dinv, grid = _scaled_grid(rs, m, cap)
+    # x = v / (dinv m) lies in (1/m) Q^vee iff dinv divides every v_k.
+    kept = sorted((tuple(c // dinv for c in v), kac) for kac, v in grid
+                  if all(c % dinv == 0 for c in v))
+    return [
+        (Point(rs, _unscale(v, m), exact=True),
+         _orbit_count(rs, tuple(k for k, s in enumerate(kac) if s == 0)))
+        for v, kac in kept
     ]
-    zero = [k for k, s in enumerate(gp.kac) if s == 0]
-    return gp.rs.weyl_order // parabolic_order(block_diagonal(blocks), zero)
 
 
 def lattice_tm(rs: RootSystem, m: int, cap: int = 10**7) -> list[Point]:

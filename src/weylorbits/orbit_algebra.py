@@ -32,14 +32,9 @@ from .errors import (
     UnsupportedType,
 )
 from .root_system import RootSystem, dynkin_components, parabolic_order, root_system
-from .weights import (
-    Weight,
-    inner_product,
-    is_dominant,
-    is_strictly_dominant,
-    weight_to_point,
-)
-from .weyl import _bonds, _dominate, _scale, _scaled_orbit, _unscale, orbit_size
+from .weights import Weight, _scale, _unscale, inner_product, is_dominant
+from .weights import is_strictly_dominant, weight_to_point
+from .weyl import _bonds, _dominate, _scaled_orbit, orbit_size
 
 
 @lru_cache(maxsize=64)

@@ -29,23 +29,9 @@ import numpy as np
 from .cyclotomic import Cyc
 from .errors import DomainError, UnsupportedSeries, UnsupportedType
 from .root_system import RootSystem, factor_slices
-from .weights import (
-    Point,
-    Weight,
-    _same_system,
-    from_orthogonal,
-    inner_product,
-    pairing,
-    to_orthogonal,
-)
-from .weyl import (
-    Orbit,
-    _scale,
-    apply_matrix_to_point,
-    group_elements,
-    orbit,
-    stabilizer_order,
-)
+from .weights import Point, Weight, _same_system, _scale, from_orthogonal, inner_product
+from .weights import pairing, to_orthogonal
+from .weyl import Orbit, apply_matrix_to_point, group_elements, orbit, stabilizer_order
 
 
 @dataclass(frozen=True)

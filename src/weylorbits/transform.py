@@ -6,7 +6,12 @@ through the collapsing map onto the simplex.  Node weights are
 normalized to sum to one, so plain weighted sums compute averages over
 the domain, which is the normalization in which distinct orbit
 functions are orthogonal and ``|phi_lambda|^2`` averages to the orbit
-size.
+size.  Rules and orbit-function node values are cached, each cache
+bounded in bytes.  Orthogonality Grams use no rule: ``phi_lam .
+conj(phi_mu)`` has the differences of orbit points as frequencies, so
+its average over F equals, up to rounding, its average over the
+torsion points below at any level ``M`` that separates the weights, for
+every rank and for product systems.
 
 Finite side: scalar products over the torsion lattice ``T_m`` are
 computed in closed form from orbit residues mod ``m``.  Summing
@@ -24,15 +29,14 @@ Appl. Math. 47 (2011)); no lattice point is enumerated or reduced.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .affine import fundamental_vertices, grid_fm, orbit_count
+from .affine import fundamental_vertices, torsion_grid
 from .cyclotomic import Cyc
 from .errors import (
     CapExceeded,
@@ -42,7 +46,7 @@ from .errors import (
     UnsupportedRank,
     UnsupportedType,
 )
-from .root_system import RootSystem, root_system
+from .root_system import RootSystem
 from .weights import Point, Weight, is_dominant
 from .weyl import _scaled_orbit, orbit, orbit_size
 from .orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
@@ -84,9 +88,29 @@ class QuadratureRule:
     order: int
 
 
+class _ByteLRU:
+    """LRU cache of at most ``budget`` bytes of values, as ``size`` counts
+    them; the newest entry always stays, even alone over the budget."""
+
+    def __init__(self, budget: int, size: Callable[[object], int]):
+        self.budget, self.size = budget, size
+        self.entries: OrderedDict = OrderedDict()
+        self.held = 0
+
+    def get(self, key, make: Callable[[], object]):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        value = self.entries[key] = make()
+        self.held += self.size(value)
+        while self.held > self.budget and len(self.entries) > 1:
+            self.held -= self.size(self.entries.popitem(last=False)[1])
+        return value
+
+
 _GAUSS_Q = 5
-_GRAM_CHUNK = 150_000  # nodes per block of orthogonality_gram
-_rule_cache: dict[tuple[str, int], QuadratureRule] = {}
+_rule_cache = _ByteLRU(16 << 20, lambda r: r.nodes_bary.nbytes + r.nodes.nbytes + r.weights.nbytes)
+_phi_cache = _ByteLRU(8 << 20, lambda values: values.nbytes)
 
 
 def build_quadrature(rs: RootSystem, level: int) -> QuadratureRule:
@@ -97,9 +121,10 @@ def build_quadrature(rs: RootSystem, level: int) -> QuadratureRule:
         raise UnsupportedRank("quadrature covers rank 1 to 3")
     if level < 1:
         raise DomainError("quadrature level must be positive")
-    key = (rs.name, level)
-    if key in _rule_cache:
-        return _rule_cache[key]
+    return _rule_cache.get((rs.name, level), lambda: _composite_rule(rs, level))
+
+
+def _composite_rule(rs: RootSystem, level: int) -> QuadratureRule:
     rank = rs.rank
     xg, wg = np.polynomial.legendre.leggauss(_GAUSS_Q)
     cells = (np.arange(level)[:, None] + (xg[None, :] + 1) / 2) / level
@@ -111,32 +136,23 @@ def build_quadrature(rs: RootSystem, level: int) -> QuadratureRule:
     cube_w = np.ones(cube.shape[0])
     for g in wgrids:
         cube_w = cube_w * g.reshape(-1)
-
-    if rank == 1:
-        simplex = cube.copy()
-        jac = np.ones(cube.shape[0])
-    elif rank == 2:
-        u, v = cube[:, 0], cube[:, 1]
-        simplex = np.stack([u, v * (1 - u)], axis=1)
-        jac = 1 - u
-    else:
-        u, v, w = cube[:, 0], cube[:, 1], cube[:, 2]
-        simplex = np.stack(
-            [u, v * (1 - u), w * (1 - u) * (1 - v)], axis=1
-        )
-        jac = (1 - u) ** 2 * (1 - v)
-
+    # Collapsing map x_k = u_k (1 - u_0) ... (1 - u_{k-1}), with Jacobian
+    # the product of (1 - u_k)^(rank - 1 - k).
+    cols, jac = [], np.ones(cube.shape[0])
+    for k in range(rank):
+        col = cube[:, k]
+        for j in range(k):
+            col = col * (1 - cube[:, j])
+        cols.append(col)
+        jac = jac * (1 - cube[:, k]) ** (rank - 1 - k)
+    simplex = np.stack(cols, axis=1)
     weights = cube_w * jac
     weights = weights / weights.sum()
     bary0 = 1 - simplex.sum(axis=1)
     nodes_bary = np.concatenate([bary0[:, None], simplex], axis=1)
-    verts = np.array(
-        [[float(c) for c in v.coords] for v in fundamental_vertices(rs)[1:]]
-    )
+    verts = np.array([[float(c) for c in v.coords] for v in fundamental_vertices(rs)[1:]])
     nodes = simplex @ verts
-    rule = QuadratureRule(rs, level, nodes_bary, nodes, weights, order=7)
-    _rule_cache[key] = rule
-    return rule
+    return QuadratureRule(rs, level, nodes_bary, nodes, weights, order=7)
 
 
 def _integrand_values(g, nodes: np.ndarray, rs: RootSystem) -> np.ndarray:
@@ -164,14 +180,6 @@ def quadrature_integrate(rs: RootSystem, g, level: int) -> complex:
     return complex(np.sum(rule.weights * vals))
 
 
-@lru_cache(maxsize=512)
-def _phi_node_values_cached(rs_name: str, coords: tuple, level: int):
-    rs = root_system(rs_name)
-    rule = build_quadrature(rs, level)
-    f = orbit_function(Weight(rs, coords))
-    return eval_many(f, rule.nodes)
-
-
 def forward_transform(
     rs: RootSystem, g, lambdas: Sequence[Weight], level: int
 ) -> list[SpectrumEntry]:
@@ -181,7 +189,8 @@ def forward_transform(
     entries = []
     for lam in lambdas:
         _check_weight(rs, lam)
-        phi = _phi_node_values_cached(rs.name, lam.coords, level)
+        phi = _phi_cache.get((rs.name, lam.coords, level),
+                             lambda: eval_many(orbit_function(lam), rule.nodes))
         coeff = complex(np.sum(rule.weights * vals * np.conj(phi)))
         entries.append(SpectrumEntry(lam, coeff / orbit_size(lam)))
     return _sorted_spectrum(entries)
@@ -221,25 +230,25 @@ def plancherel(
 
 
 def orthogonality_gram(rs: RootSystem, lambdas: Sequence[Weight], level: int) -> np.ndarray:
-    """Gram matrix of orbit functions under the domain average.
+    """Gram matrix of orbit functions under the average over F.
 
-    Expected to be ``diag(|O(lambda)|)`` in exact arithmetic; computed
-    in chunks of ``_GRAM_CHUNK`` nodes so rank-3 rules stay within memory.
+    ``level`` is the grid level ``M``: the nodes are the points of
+    ``T_M`` in F (:func:`~weylorbits.affine.torsion_grid`), each weighted
+    by its orbit count over ``M**rank``.  The result is
+    ``diag(|O(lambda)|)`` up to rounding, for any rank and for product
+    systems.  Raises :class:`SeparationFailure` when ``M`` does not
+    separate two weights, where the grid average would not be exact.
     """
     for lam in lambdas:
         _check_weight(rs, lam)
-    rule = build_quadrature(rs, level)
-    k = len(lambdas)
-    gram = np.zeros((k, k), dtype=complex)
-    funcs = [orbit_function(lam) for lam in lambdas]
-    n = rule.nodes.shape[0]
-    for start in range(0, n, _GRAM_CHUNK):
-        sl = slice(start, min(start + _GRAM_CHUNK, n))
-        block = np.empty((sl.stop - sl.start, k), dtype=complex)
-        for j, f in enumerate(funcs):
-            block[:, j] = eval_many(f, rule.nodes[sl])
-        gram += block.conj().T @ (rule.weights[sl, None] * block)
-    return gram
+    grid = torsion_grid(rs, level)
+    _require_separated(lambdas, level)
+    nodes = np.array([[float(c) for c in x.coords] for x, _ in grid])
+    weights = np.array([count for _, count in grid], dtype=float) / level**rs.rank
+    block = np.empty((len(grid), len(lambdas)), dtype=complex)
+    for j, lam in enumerate(lambdas):
+        block[:, j] = eval_many(orbit_function(lam), nodes)
+    return block.conj().T @ (weights[:, None] * block)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +286,15 @@ def _first_unseparated(lambdas: Sequence[Weight], m: int) -> tuple[Weight, Weigh
             if not _separated(res[i], rb, a.coords == b.coords):
                 return a, b
     return None
+
+
+def _require_separated(lambdas: Sequence[Weight], m: int) -> None:
+    pair = _first_unseparated(lambdas, m)
+    if pair is not None:
+        a, b = pair
+        raise SeparationFailure(
+            f"order {m} does not separate {a.coords} and {b.coords}", pair=pair
+        )
 
 
 def separates(lam: Weight, mu: Weight, m: int) -> bool:
@@ -328,18 +346,9 @@ def finite_forward(
     """
     if not lambdas:
         raise DomainError("need at least one weight")
-    pair = _first_unseparated(lambdas, m)
-    if pair is not None:
-        a, b = pair
-        raise SeparationFailure(
-            f"order {m} does not separate {a.coords} and {b.coords}", pair=pair
-        )
+    _require_separated(lambdas, m)
     rs = lambdas[0].rs
-    pts = [
-        (gp.point, orbit_count(gp))
-        for gp in sorted(grid_fm(rs, m, cap), key=lambda gp: gp.point.coords)
-        if all(m % c.denominator == 0 for c in gp.point.coords)  # gp is in T_m
-    ]
+    pts = torsion_grid(rs, m, cap)
     values = [f(x) for x, _ in pts]
     exact = all(isinstance(v, (int, Fraction, Cyc)) and not isinstance(v, bool) for v in values)
     values = values if exact else [complex(v) for v in values]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -48,6 +50,22 @@ def exact(value) -> Fraction:
         if len(_SHARED) < _SHARED_MAX:
             _SHARED[f] = f
     return f
+
+
+# The integer kernel: Cartan matrices are integral and reflections linear,
+# so a coordinate tuple x is carried as d*x in plain ints, d a common
+# multiple of its denominators, and divided by d at the end.
+
+def _scale(coords, d: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """``(d, d*coords)``; ``d`` defaults to the lcm of the denominators."""
+    if d is None:
+        d = lcm(*(c.denominator for c in coords))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coords)
+
+
+def _unscale(ints, d: int) -> tuple[Fraction, ...]:
+    """``ints / d`` as Fractions."""
+    return tuple(Fraction(v, d) if v % d else exact(v // d) for v in ints)
 
 
 @dataclass(frozen=True)
@@ -263,24 +281,25 @@ def to_orthogonal(lam: Weight) -> tuple[Fraction, ...]:
     rs = lam.rs
     if not rs.is_simple:
         raise UnsupportedSeries("orthogonal coordinates apply to simple systems")
-    series, n, a = rs.series, rs.rank, lam.coords
+    series, n = rs.series, rs.rank
     _check_classical(series, n)
+    # Suffix sums of the scaled coordinates over one common denominator:
+    # d for C, 2d for the halves of B and D, (n+1)d for the A shift.
+    d, v = _scale(lam.coords)
+    if series in "AC":
+        u, den = v, d
+    elif series == "B":
+        u, den = [2 * c for c in v[:-1]] + [v[-1]], 2 * d
+    else:
+        u, den = [2 * c for c in v[:-2]] + [v[-2] + v[-1]], 2 * d
+    m = [*accumulate(reversed(u))][::-1]
     if series == "A":
-        tail = [Fraction(0)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            tail[i] = tail[i + 1] + a[i]
-        shift = sum(tail) / (n + 1)
-        return tuple(t - shift for t in tail)
-    if series == "B":
-        m = [sum(a[i:n - 1], Fraction(0)) + a[n - 1] / 2 for i in range(n)]
-        return tuple(m)
-    if series == "C":
-        return tuple(sum(a[i:], Fraction(0)) for i in range(n))
-    # D series
-    half = (a[n - 2] + a[n - 1]) / 2
-    m = [sum(a[i:n - 2], Fraction(0)) + half for i in range(n - 1)]
-    m.append((a[n - 2] - a[n - 1]) / 2)
-    return tuple(m)
+        m.append(0)
+        total = sum(m)
+        return _unscale([(n + 1) * t - total for t in m], (n + 1) * d)
+    if series == "D":
+        m.append(v[-2] - v[-1])
+    return _unscale(m, den)
 
 
 def from_orthogonal(series: str, m: Sequence) -> Weight:

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
 from typing import Iterable
 
 from .errors import CapExceeded, DomainError, IndexOutOfRange
 from .errors import InvariantViolation, UnsupportedRank
 from .root_system import RootSystem, parabolic_order
-from .weights import Point, Weight, exact, is_dominant, orthogonal_dominant
+from .weights import Point, Weight, _scale, _unscale, exact, is_dominant, orthogonal_dominant
 
 
 def reflect_simple(i: int, lam: Weight) -> Weight:
@@ -52,21 +51,7 @@ def reflect_simple_point(i: int, x: Point) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernel: Cartan matrices are integral and reflections linear, so
-# a coordinate tuple x is carried as d*x in plain ints, d a common
-# multiple of its denominators, and divided by d at the end.
-
-def _scale(coords, d: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """``(d, d*coords)``; ``d`` defaults to the lcm of the denominators."""
-    if d is None:
-        d = lcm(*(c.denominator for c in coords))
-    return d, tuple(c.numerator * (d // c.denominator) for c in coords)
-
-
-def _unscale(ints, d: int) -> tuple[Fraction, ...]:
-    """``ints / d`` as Fractions."""
-    return tuple(Fraction(v, d) if v % d else exact(v // d) for v in ints)
-
+# Integer kernel on d-scaled ints (``weights._scale`` and ``_unscale``).
 
 @lru_cache(maxsize=64)
 def _bonds(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -19,6 +19,7 @@ from weylorbits.affine import (
     reduce_to_fundamental,
     reflect_r0,
     tm_level_for_grid,
+    torsion_grid,
 )
 
 from tables import RATIONAL_C2, RATIONAL_G2
@@ -171,6 +172,30 @@ def test_orbit_count_matches_reduction(name, top):
         }
         assert grid == _reduced_counts(rs, m), m
         assert sum(grid.values()) == m**rs.rank
+
+
+@pytest.mark.parametrize("name, ms", [
+    ("A1", range(1, 9)), ("A2", range(1, 9)), ("C2", range(1, 11)), ("G2", range(1, 11)),
+    ("A3", range(1, 6)), ("B3", range(1, 5)), ("C3", range(1, 5)), ("A4", range(1, 4)),
+    ("B4", range(1, 4)), ("C4", range(1, 4)), ("D4", range(1, 4)), ("F4", range(1, 4)),
+    ("A1xG2", range(1, 5)), ("C2xA1", range(1, 5)), ("E8", [2]),
+])
+def test_torsion_grid_matches_grid_filter(name, ms):
+    """Reference: the grid points of F whose coordinates have denominators
+    dividing m, sorted by coordinates, each with its orbit_count."""
+    rs = w.root_system(name)
+    for m in ms:
+        want = [
+            (gp.point.coords, orbit_count(gp))
+            for gp in sorted(grid_fm(rs, m), key=lambda gp: gp.point.coords)
+            if all(m % c.denominator == 0 for c in gp.point.coords)
+        ]
+        got = torsion_grid(rs, m)
+        assert [(x.coords, count) for x, count in got] == want, m
+        assert all(x.rs == rs and x.exact for x, _ in got)
+        assert all(type(c) is F for x, _ in got for c in x.coords)
+    with pytest.raises(w.CapExceeded):
+        torsion_grid(rs, 12, cap=10)
 
 
 def test_tm_level_for_grid():

@@ -117,6 +117,95 @@ def test_orthogonality_gram_diagonal():
         assert np.max(np.abs(gram - want)) < 1e-8
 
 
+def _gram_error(rs, lams, level):
+    """Largest deviation of the Gram from diag(|O(lambda)|), relative to
+    the largest orbit."""
+    gram = orthogonality_gram(rs, lams, level)
+    sizes = [float(w.orbit_size(lam)) for lam in lams]
+    assert gram.shape == (len(lams), len(lams)) and gram.dtype == complex
+    return np.max(np.abs(gram - np.diag(sizes))) / max(sizes)
+
+
+@pytest.mark.parametrize("name, level", [
+    ("A2", 64), ("C2", 64), ("G2", 64), ("A3", 24), ("B3", 24), ("C3", 24),
+])
+def test_orthogonality_gram_on_criterion_7_sets(name, level):
+    assert _gram_error(w.root_system(name), _pool(name), level) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["F4", "A4", "D4", "E6", "A1xG2", "C2xA1"])
+def test_orthogonality_gram_any_rank_and_products(name):
+    """Grams beyond rank 3 and on product systems, at the smallest
+    separating level."""
+    rs = w.root_system(name)
+    if rs.rank <= 4:
+        lams = _pool(name, 2)
+    else:
+        lams = [w.weight(rs, c) for c in [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
+                                          (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0)]]
+    assert _gram_error(rs, lams, minimal_separating_m(lams)) < 1e-12
+
+
+def test_orthogonality_gram_needs_a_separating_level():
+    lam = _wt("A2", (1, 1))
+    with pytest.raises(w.SeparationFailure) as exc:
+        orthogonality_gram(lam.rs, [lam], 3)
+    assert exc.value.pair == (lam, lam)
+
+
+def test_orthogonality_gram_of_no_weights():
+    gram = orthogonality_gram(w.root_system("A2"), [], 5)
+    assert gram.shape == (0, 0) and gram.dtype == complex
+
+
+def test_orthogonality_gram_builds_no_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orthogonality_gram built a quadrature rule")
+
+    monkeypatch.setattr(transform_mod, "build_quadrature", refuse)
+    assert _gram_error(w.root_system("B3"), _pool("B3", 2), 11) < 1e-12
+
+
+def _fresh_cache(monkeypatch, name):
+    old = getattr(transform_mod, name)
+    cache = type(old)(old.budget, old.size)
+    monkeypatch.setattr(transform_mod, name, cache)
+    return cache
+
+
+def test_rule_cache_bounded_in_bytes(monkeypatch):
+    """Only the newest entry may hold more than the budget, and then alone."""
+    cache = _fresh_cache(monkeypatch, "_rule_cache")
+    rs = w.root_system("C3")
+    for level in [*range(10, 17), 2, 3]:
+        rule = build_quadrature(rs, level)
+        held = [cache.size(r) for r in cache.entries.values()]
+        assert cache.held == sum(held)
+        assert cache.held <= cache.budget or len(held) == 1
+        assert list(cache.entries.values())[-1] is rule
+    assert [r.level for r in cache.entries.values()] == [2, 3]
+    assert build_quadrature(rs, 2) is cache.entries[("C3", 2)]
+
+
+def test_phi_cache_keeps_forward_entries(monkeypatch):
+    """The node values of the C2 level-40 and A2 level-24 forward
+    transforms (3.25 MB) stay cached together."""
+    cache = _fresh_cache(monkeypatch, "_phi_cache")
+    cases = [("C2", 40, [(1, 0), (0, 1), (1, 1), (2, 0)]), ("A2", 24, [(1, 0), (0, 1), (1, 1)])]
+
+    def forward_all():
+        for name, level, coords in cases:
+            rs = w.root_system(name)
+            forward_transform(rs, lambda pts: np.ones(len(pts)),
+                              [w.weight(rs, c) for c in coords], level)
+
+    forward_all()
+    kept = list(cache.entries.values())
+    forward_all()
+    assert len(kept) == 7 and cache.held <= cache.budget
+    assert all(a is b for a, b in zip(kept, cache.entries.values()))
+
+
 def test_forward_inverse_roundtrip():
     rs = w.root_system("A2")
     spec = [

@@ -66,6 +66,42 @@ def test_to_orthogonal_golden(name, coords, m):
     assert tuple(got) == tuple(F(v) for v in m)
 
 
+def _to_orthogonal_reference(lam):
+    """The Fraction formulas for orthogonal coordinates, series by series."""
+    series, n, a = lam.rs.series, lam.rs.rank, lam.coords
+    if series == "A":
+        tail = [F(0)] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            tail[i] = tail[i + 1] + a[i]
+        shift = sum(tail) / (n + 1)
+        return tuple(t - shift for t in tail)
+    if series == "B":
+        return tuple(sum(a[i:n - 1], F(0)) + a[n - 1] / 2 for i in range(n))
+    if series == "C":
+        return tuple(sum(a[i:], F(0)) for i in range(n))
+    half = (a[n - 2] + a[n - 1]) / 2
+    return tuple([sum(a[i:n - 2], F(0)) + half for i in range(n - 1)]
+                 + [(a[n - 2] - a[n - 1]) / 2])
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "B3", "B4", "C2", "C3", "C4", "C5", "D4", "D5",
+])
+def test_to_orthogonal_matches_fraction_formula(name, rng):
+    """Orbits of two integral and one non-integral dominant weight, and one
+    weight with signed Fraction coordinates."""
+    rs = w.root_system(name)
+    lams = [w.weight(rs, [rng.randrange(3) for _ in range(rs.rank)]) for _ in range(2)]
+    lams.append(w.weight(rs, [F(rng.randrange(7), rng.randrange(1, 5)) for _ in range(rs.rank)]))
+    pts = [p for lam in lams for p in w.orbit(lam).points]
+    pts.append(w.weight(rs, [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(rs.rank)]))
+    assert any(c.denominator > 1 for p in pts for c in p.coords)
+    for p in pts:
+        got = w.to_orthogonal(p)
+        assert got == _to_orthogonal_reference(p), p.coords
+        assert all(type(c) is F for c in got)
+
+
 def test_orthogonal_roundtrip():
     for name, coords in [
         ("A3", (2, 1, 3)), ("B3", (1, 0, 2)), ("C4", (1, 2, 0, 1)),
