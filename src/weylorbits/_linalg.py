@@ -1,6 +1,7 @@
-"""Small exact linear-algebra helpers over :class:`fractions.Fraction`.
+"""Small exact linear-algebra helpers over ints and :class:`fractions.Fraction`.
 
-Matrices are tuples of row tuples.  Everything here is sized for
+Matrices are tuples of row tuples of ints (Cartan matrices) or Fractions
+(their inverses and Gram matrices).  Everything here is sized for
 Cartan-matrix work (rank at most 8), so clarity beats asymptotics.
 """
 
@@ -9,20 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
+Vector = tuple[int | Fraction, ...]
 
 
-def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Matrix, v: Sequence) -> Vector:
     """Matrix times column vector."""
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v: Sequence[Fraction], a: Matrix) -> Vector:
+def vec_mat(v: Sequence, a: Matrix) -> Vector:
     """Row vector times matrix."""
     return tuple(
         sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))
@@ -30,7 +27,7 @@ def vec_mat(v: Sequence[Fraction], a: Matrix) -> Vector:
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
+    """Exact inverse, in Fractions, by Gauss-Jordan elimination with partial pivoting."""
     n = len(a)
     aug = [list(row) + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(a)]
     for col in range(n):
@@ -49,14 +46,10 @@ def mat_inv(a: Matrix) -> Matrix:
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     total = sum(len(b) for b in blocks)
-    rows: list[tuple[Fraction, ...]] = []
+    rows = []
     offset = 0
     for b in blocks:
         for row in b:
-            rows.append(
-                tuple(Fraction(0) for _ in range(offset))
-                + tuple(row)
-                + tuple(Fraction(0) for _ in range(total - offset - len(row)))
-            )
+            rows.append((0,) * offset + tuple(row) + (0,) * (total - offset - len(row)))
         offset += len(b)
     return tuple(rows)

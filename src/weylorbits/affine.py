@@ -56,9 +56,9 @@ def in_fundamental_domain(x: Point) -> bool:
     d, v = _scale(x.coords) if x.exact else (1, x.coords)
     for f, sl in factor_slices(x.rs):
         b = v[sl]
-        if min(sum(map(mul, row, b)) for row in f.cartan_int) < 0:
+        if min(sum(map(mul, row, b)) for row in f.cartan) < 0:
             return False
-        if sum(int(a) * c for a, c in zip(f.xi_omega, b)) > d:
+        if sum(map(mul, f.xi_omega, b)) > d:
             return False
     return True
 
@@ -71,16 +71,15 @@ def _reduce_scaled(rs: RootSystem, v: list, d: int) -> int:
         b = v[sl]
         for k in range(f.rank):
             b[k] -= b[k] // d * d if d > 1 else math.floor(b[k])
-        xi = [int(a) for a in f.xi_omega]
         budget = 10 * (f.rank + 1) * f.weyl_order
         local = 0
         while True:
-            pairs = [sum(map(mul, row, b)) for row in f.cartan_int]
+            pairs = [sum(map(mul, row, b)) for row in f.cartan]
             low = min(pairs)
             if low < 0:
                 b[pairs.index(low)] -= low
             else:
-                level = sum(map(mul, xi, b))
+                level = sum(map(mul, f.xi_omega, b))
                 if level <= d:
                     break
                 shift = d - level
@@ -179,8 +178,8 @@ def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
 def _orbit_count(rs: RootSystem, zero: tuple[int, ...]) -> int:
     """:func:`orbit_count` of the grid points with zero Kac labels at ``zero``."""
     ext = block_diagonal([
-        [(2, *(-int(a) for a in f.xi_omega))]
-        + [(-sum(map(mul, f.comarks, row)), *row) for row in f.cartan_int]
+        [(2, *(-a for a in f.xi_omega))]
+        + [(-sum(map(mul, f.comarks, row)), *row) for row in f.cartan]
         for f in rs.factors
     ])
     return rs.weyl_order // parabolic_order(ext, zero)
@@ -228,7 +227,7 @@ def element_orders(x: Point | GridPoint) -> tuple[int, int]:
     n_ord, v = _scale(x.coords)
     # <x, alpha_j> = (cartan @ v)_j / N, so its denominator is N / gcd.
     m_ord = math.lcm(
-        *(n_ord // math.gcd(sum(map(mul, row, v)), n_ord) for row in x.rs.cartan_int)
+        *(n_ord // math.gcd(sum(map(mul, row, v)), n_ord) for row in x.rs.cartan)
     )
     return m_ord, n_ord
 

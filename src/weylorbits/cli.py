@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Every subcommand prints to stdout (or ``--output``) in JSON or CSV.
+Every subcommand prints to stdout (or ``--output``); the six that list
+weights, orbit sums or points choose JSON or CSV with ``--format``.
 Exit codes: 0 on success, 1 on usage errors, 2 on domain errors (the
 error class name is printed to stderr).
 """
@@ -288,82 +289,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def common(p, fmt=None, cap=True):
+        """``--type`` and ``--output``; ``--format`` (default ``fmt``) and
+        ``--cap`` only where the subcommand reads them."""
         p.add_argument("--type", required=True, help="root-system name, e.g. C2 or A1xA1")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
         p.add_argument("--output", help="write to this file instead of stdout")
-        p.add_argument("--cap", type=_positive_int, default=10**7)
+        if cap:
+            p.add_argument("--cap", type=_positive_int, default=10**7)
 
     p = sub.add_parser("orbit", help="enumerate a Weyl orbit")
-    common(p)
+    common(p, fmt="json")
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("product", help="decompose a product of two orbits")
-    common(p)
+    common(p, fmt="json")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--method", choices=("auto", "brute"), default="auto")
     p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("branch", help="branch an orbit to a subsystem")
-    common(p)
+    common(p, fmt="json")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--target", required=True)
     p.set_defaults(handler=_cmd_branch)
 
     p = sub.add_parser("grid", help="level grid of the fundamental domain")
-    common(p, fmt_default="csv")
+    common(p, fmt="csv")
     p.add_argument("--level", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("tm", help="torsion lattice points")
-    common(p, fmt_default="csv")
+    common(p, fmt="csv")
     p.add_argument("--m", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_tm)
 
     p = sub.add_parser("rational", help="rational elements up to an adjoint order")
-    common(p, fmt_default="csv")
+    common(p, fmt="csv")
     p.add_argument("--max-level", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_rational)
 
     p = sub.add_parser("eval", help="evaluate an orbit function at a point")
-    common(p, fmt_default="csv")
+    common(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--modified", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("sample", help="sample an orbit function on a barycentric mesh")
-    common(p, fmt_default="csv")
+    common(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--resolution", type=_positive_int, required=True)
     p.add_argument("--modified", action="store_true")
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("transform", help="recover coefficients by quadrature")
-    common(p, fmt_default="csv")
+    common(p, cap=False)
     p.add_argument("--spectrum", required=True, help='e.g. "1,0:2;0,1:1/2"')
     p.add_argument("--lambda-set", required=True, help='e.g. "1,0;0,1;1,1"')
     p.add_argument("--level", type=_positive_int, default=16)
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("ftransform", help="recover coefficients on a finite lattice")
-    common(p, fmt_default="csv")
+    common(p)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--lambda-set", required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_ftransform)
 
     p = sub.add_parser("laplace-check", help="finite-difference eigenvalue check")
-    common(p, fmt_default="csv")
+    common(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--point")
     p.add_argument("--h", type=float, default=1e-4)
     p.set_defaults(handler=_cmd_laplace_check)
 
     p = sub.add_parser("identities", help="A-series symmetric-function identities")
-    common(p, fmt_default="csv")
+    common(p, cap=False)
     p.add_argument("--s-max", type=_positive_int, default=4)
     p.add_argument("--point")
     p.set_defaults(handler=_cmd_identities)

@@ -163,7 +163,7 @@ def _product_cosets(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
     rs = lam.rs
     d, shifts = _shifts(lam, mu, cap)
     fixed = [j for j, c in enumerate(mu.coords) if c == 0]
-    bonds, cartan = _bonds(rs), rs.cartan_int
+    bonds, cartan = _bonds(rs), rs.cartan
     terms: Counter = Counter()
     for s in shifts:
         if all(s[j] >= 0 for j in fixed):
@@ -257,17 +257,6 @@ class ProjectionMatrix:
             raise DomainError(
                 f"projection shape must be {self.target.rank}x{self.source.rank}"
             )
-
-    def project(self, lam: Weight) -> Weight:
-        if lam.rs != self.source:
-            raise MismatchedSystem(
-                f"weight of {lam.rs.name} fed to a {self.source.name} projection"
-            )
-        coords = tuple(
-            sum(row[j] * lam.coords[j] for j in range(self.source.rank))
-            for row in self.matrix
-        )
-        return Weight(self.target, coords)
 
 
 _FIXED_PROJECTIONS = {

@@ -128,15 +128,19 @@ class RootSystem:
         Series letter for simple systems, ``"product"`` otherwise.
     rank : int
         Total rank.
-    cartan, cartan_inv, gram : tuple of tuples of Fraction
-        Cartan matrix, its exact inverse, and the Gram matrix
-        ``S = cartan_inv @ diag(lengths_sq / 2)`` of fundamental weights;
-        ``cartan_int`` holds the Cartan matrix in plain ints.
+    cartan : tuple of tuples of int
+        Cartan matrix, in the plain ints the integer kernel reads.
+    cartan_inv, gram : tuple of tuples of Fraction
+        Exact inverse of the Cartan matrix, and the Gram matrix
+        ``S = cartan_inv @ diag(lengths_sq / 2)`` of fundamental weights.
     lengths_sq : tuple of Fraction
         Squared lengths of the simple roots (long roots have 2).
     marks, comarks : tuple of int
         Highest-root coefficients over simple roots / coroots,
         concatenated per factor for products.
+    xi_omega : tuple of int or None
+        Highest root ``marks . cartan`` in the fundamental-weight basis
+        (simple systems only).
     weyl_order : int
         Order of the Weyl group.
     aliased_from : str or None
@@ -148,7 +152,6 @@ class RootSystem:
         "series",
         "rank",
         "cartan",
-        "cartan_int",
         "cartan_inv",
         "lengths_sq",
         "gram",
@@ -171,13 +174,12 @@ class RootSystem:
         weyl_order: int,
         aliased_from: str | None = None,
         factors: tuple["RootSystem", ...] | None = None,
-        xi_omega: tuple[Fraction, ...] | None = None,
+        xi_omega: tuple[int, ...] | None = None,
     ):
         self.name = name
         self.series = series
         self.rank = len(cartan)
         self.cartan = cartan
-        self.cartan_int = tuple(tuple(int(v) for v in row) for row in cartan)
         self.cartan_inv = _linalg.mat_inv(cartan)
         self.lengths_sq = lengths_sq
         self.gram = tuple(
@@ -218,12 +220,9 @@ def _build_simple(series: str, rank: int) -> RootSystem:
     if series == "B" and rank == 2:
         series, aliased = "C", "B2"
     cartan_rows, lengths = _cartan_and_lengths(series, rank)
-    cartan = _linalg.as_matrix(cartan_rows)
+    cartan = tuple(map(tuple, cartan_rows))
     marks = tuple(_MARKS[series](rank))
-    comarks = tuple(
-        int(m * l / 2) for m, l in zip(marks, lengths)
-    )
-    xi = _linalg.vec_mat(tuple(Fraction(m) for m in marks), cartan)
+    comarks = tuple(m * l // 2 for m, l in zip(marks, lengths))
     return RootSystem(
         name=f"{series}{rank}",
         series=series,
@@ -233,7 +232,7 @@ def _build_simple(series: str, rank: int) -> RootSystem:
         comarks=comarks,
         weyl_order=weyl_order_formula(series, rank),
         aliased_from=aliased,
-        xi_omega=xi,
+        xi_omega=_linalg.vec_mat(marks, cartan),
     )
 
 

@@ -200,7 +200,7 @@ def simple_root_weight(rs: RootSystem, i: int) -> Weight:
     """Simple root ``alpha_i`` (1-based) in fundamental-weight coordinates."""
     if not 1 <= i <= rs.rank:
         raise DomainError(f"simple-root index {i} outside 1..{rs.rank}")
-    return Weight(rs, tuple(rs.cartan[i - 1]))
+    return Weight(rs, tuple(map(exact, rs.cartan[i - 1])))
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> Weight:
@@ -248,7 +248,7 @@ def highest_root(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...], Weig
     """Marks, comarks and the highest root (as a weight) of a simple system."""
     if not rs.is_simple:
         raise UnsupportedType("highest root is defined per simple factor")
-    return rs.marks, rs.comarks, Weight(rs, rs.xi_omega)
+    return rs.marks, rs.comarks, Weight(rs, tuple(map(exact, rs.xi_omega)))
 
 
 def is_dominant(lam: Weight) -> bool:

@@ -58,7 +58,7 @@ def _bonds(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per node ``i``, the ``(j, M[i][j])`` with ``j != i`` and ``M[i][j] != 0``."""
     return tuple(
         tuple((j, c) for j, c in enumerate(row) if j != i and c)
-        for i, row in enumerate(rs.cartan_int)
+        for i, row in enumerate(rs.cartan)
     )
 
 
@@ -145,7 +145,7 @@ def stabilizer_order(lam: Weight) -> int:
     if not is_dominant(lam):
         raise DomainError("stabilizer formula requires a dominant weight")
     zero_nodes = tuple(j for j, a in enumerate(lam.coords) if a == 0)
-    return parabolic_order(lam.rs.cartan_int, zero_nodes) if zero_nodes else 1
+    return parabolic_order(lam.rs.cartan, zero_nodes) if zero_nodes else 1
 
 
 def orbit_size(lam: Weight) -> int:

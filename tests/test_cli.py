@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +247,100 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 3
+
+
+# Each subcommand declares --format and --cap only if it reads them.
+FORMAT_COMMANDS = ("orbit", "product", "branch", "grid", "tm", "rational")
+CAP_COMMANDS = FORMAT_COMMANDS + ("eval", "sample", "ftransform", "laplace-check")
+BASE_ARGV = {
+    "orbit": ("orbit", "--type", "A2", "--lambda", "1,1"),
+    "product": ("product", "--type", "A2", "--lambda", "1,0", "--mu", "0,1"),
+    "branch": ("branch", "--type", "C3", "--target", "C2", "--lambda", "1,1,1"),
+    "grid": ("grid", "--type", "A2", "--level", "3"),
+    "tm": ("tm", "--type", "A2", "--m", "2"),
+    "rational": ("rational", "--type", "A1", "--max-level", "3"),
+    "eval": ("eval", "--type", "A2", "--lambda", "1,1", "--point", "1/4,1/4"),
+    "sample": ("sample", "--type", "A1", "--lambda", "2", "--resolution", "2"),
+    "transform": ("transform", "--type", "A2", "--spectrum", "1,0:2",
+                  "--lambda-set", "1,0", "--level", "6"),
+    "ftransform": ("ftransform", "--type", "A2", "--spectrum", "1,0:2;0,1:1/2",
+                   "--lambda-set", "1,0;0,1", "--m", "6"),
+    "laplace-check": ("laplace-check", "--type", "A2", "--lambda", "1,1",
+                      "--point", "0.21,0.34"),
+    "identities": ("identities", "--type", "A2", "--s-max", "2"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((c, ("--format", "json")) for c in sorted(set(BASE_ARGV) - set(FORMAT_COMMANDS))),
+    *((c, ("--cap", "100")) for c in sorted(set(BASE_ARGV) - set(CAP_COMMANDS))),
+])
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    rc, out, err = run(capsys, *BASE_ARGV[command], *flag)
+    assert rc == 1 and out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("command", CAP_COMMANDS)
+def test_cap_and_format_still_taken(capsys, command):
+    """A cap that is not reached, and the default format named
+    explicitly, leave stdout as it is without them."""
+    _, plain, _ = run(capsys, *BASE_ARGV[command])
+    extra = ["--cap", str(10**7)]
+    if command in FORMAT_COMMANDS:
+        extra += ["--format", "json" if command in ("orbit", "product", "branch") else "csv"]
+    rc, out, err = run(capsys, *BASE_ARGV[command], *extra)
+    assert rc == 0 and err == ""
+    assert out == plain
+
+
+_FLOAT = re.compile(r"-?\d\.\d+e[+-]\d+")
+
+
+def _readme_examples():
+    """``(argv, shown lines)`` of each ``$ weylorbits`` example in the
+    README's ``text`` block; a ``\\`` line end continues the command."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    lines = block.splitlines()
+    while lines:
+        line = lines.pop(0)
+        if not line.startswith("$ weylorbits "):
+            continue
+        command = line
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        shown = []
+        while lines and lines[0].strip():
+            shown.append(lines.pop(0))
+        examples.append((shlex.split(command, comments=True)[2:], shown))
+    return examples
+
+
+def _same_fields(got: str, want: str) -> bool:
+    """Equal ``;``-separated fields; printed floats agree to 1e-12."""
+    g, s = got.split(";"), want.split(";")
+    return len(g) == len(s) and all(
+        abs(float(a) - float(b)) <= 1e-12 if _FLOAT.fullmatch(b) and _FLOAT.fullmatch(a)
+        else a == b
+        for a, b in zip(g, s)
+    )
+
+
+def test_readme_examples(capsys):
+    """Every CLI example in the README prints what the README shows, up to
+    a ``...``, after which the rest of the output is not shown."""
+    examples = _readme_examples()
+    assert len(examples) >= 9
+    for argv, shown in examples:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == "", argv
+        got = out.splitlines()
+        for k, want in enumerate(shown):
+            if "..." in want:
+                assert got[k].startswith(want.split("...", 1)[0]), argv
+                break
+            assert _same_fields(got[k], want), (argv, got[k], want)
+        else:
+            assert len(got) == len(shown), argv

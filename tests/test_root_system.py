@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import weylorbits as w
-from weylorbits.root_system import factor_slices, parabolic_order
+from weylorbits._linalg import mat_inv
+from weylorbits.affine import fundamental_vertices, reflect_r0
+from weylorbits.orbit_fn import laplace_coefficients
+from weylorbits.root_system import _cartan_and_lengths, factor_slices, parabolic_order
+from weylorbits.weights import coweight_coords, point_to_weight, simple_root_weight
+from weylorbits.weyl import reflect_simple, reflect_simple_point
 
 F = Fraction
 
@@ -137,13 +142,13 @@ def test_products():
 def test_parabolic_order_matches_composition():
     rs = w.root_system("F4")
     # sub-diagram on nodes {0,1} is a doubled bond at the end: order 8
-    assert parabolic_order(rs.cartan_int, [1, 2]) == 8
-    assert parabolic_order(rs.cartan_int, [0, 1, 2, 3]) == rs.weyl_order
-    assert parabolic_order(rs.cartan_int, []) == 1
+    assert parabolic_order(rs.cartan, [1, 2]) == 8
+    assert parabolic_order(rs.cartan, [0, 1, 2, 3]) == rs.weyl_order
+    assert parabolic_order(rs.cartan, []) == 1
     g2 = w.root_system("G2")
-    assert parabolic_order(g2.cartan_int, [0, 1]) == 12
+    assert parabolic_order(g2.cartan, [0, 1]) == 12
     e8 = w.root_system("E8")
-    assert parabolic_order(e8.cartan_int, list(range(8))) == 696729600
+    assert parabolic_order(e8.cartan, list(range(8))) == 696729600
 
 
 def test_parabolic_order_vs_enumeration(rng):
@@ -160,3 +165,105 @@ def test_parabolic_order_vs_enumeration(rng):
                 if w.weyl.apply_matrix_to_weight(mat, lam).coords == lam.coords
             )
             assert fixed == w.stabilizer_order(lam)
+
+
+# Integer Cartan data against a Fraction construction of the same matrices.
+
+INT_CARTAN_SYSTEMS = (
+    [f"A{n}" for n in range(1, 9)] + [f"C{n}" for n in range(2, 6)]
+    + [f"B{n}" for n in range(3, 6)] + [f"D{n}" for n in range(4, 7)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xG2", "C2xA1", "A1xA1xA1"]
+)
+
+
+def _fraction_cartan(rs):
+    """The reference Cartan matrix in Fractions: each factor's rows as
+    Fractions, padded with ``Fraction(0)`` for products."""
+    blocks = [
+        [[F(v) for v in row] for row in _cartan_and_lengths(f.series, f.rank)[0]]
+        for f in rs.factors
+    ]
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append(tuple([F(0)] * offset + row + [F(0)] * (rs.rank - offset - len(row))))
+        offset += len(b)
+    return tuple(rows)
+
+
+def _same(got, want):
+    """Equal values of equal types; floats bit for bit."""
+    return len(got) == len(want) and all(
+        type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
+        for a, b in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("name", INT_CARTAN_SYSTEMS)
+def test_cartan_data_are_ints(name):
+    rs = w.root_system(name)
+    fc = _fraction_cartan(rs)
+    assert all(type(v) is int for row in rs.cartan for v in row)
+    assert rs.cartan == fc
+    inv = mat_inv(fc)
+    assert rs.cartan_inv == inv
+    assert rs.gram == tuple(
+        tuple(inv[i][j] * rs.lengths_sq[j] / 2 for j in range(rs.rank))
+        for i in range(rs.rank)
+    )
+    assert all(type(v) is F for m in (rs.cartan_inv, rs.gram) for row in m for v in row)
+    for f in rs.factors:
+        xi = tuple(sum(F(m) * f.cartan[j][k] for j, m in enumerate(f.marks))
+                   for k in range(f.rank))
+        assert all(type(v) is int for v in f.xi_omega)
+        assert f.xi_omega == xi
+    assert (rs.xi_omega is None) is not rs.is_simple
+
+
+@pytest.mark.parametrize("name", INT_CARTAN_SYSTEMS)
+def test_api_values_and_types_unchanged(name, rng):
+    """Weights and points built from the integer Cartan data have the
+    values and coordinate types the Fraction matrix gave them."""
+    rs = w.root_system(name)
+    fc, n = _fraction_cartan(rs), rs.rank
+    for i in range(1, n + 1):
+        assert _same(simple_root_weight(rs, i).coords, fc[i - 1])
+    assert _same(sum(laplace_coefficients(rs), ()),
+                 tuple(fc[j][k] / rs.lengths_sq[j] for j in range(n) for k in range(n)))
+    if rs.is_simple:
+        fxi = tuple(sum(F(m) * fc[j][k] for j, m in enumerate(rs.marks)) for k in range(n))
+        assert _same(w.highest_root(rs)[2].coords, fxi)
+        inv = mat_inv(fc)
+        verts = [(F(0),) * n] + [
+            tuple(inv[i][k] * rs.lengths_sq[k] / 2 / rs.comarks[i] for k in range(n))
+            for i in range(n)
+        ]
+        assert all(_same(v.coords, want)
+                   for v, want in zip(fundamental_vertices(rs), verts))
+    for _ in range(4):
+        lam = w.weight(rs, [F(rng.randrange(-9, 10), rng.choice((1, 2, 3)))
+                            for _ in range(n)])
+        x = w.point(rs, [F(rng.randrange(-40, 41), 12) for _ in range(n)])
+        y = w.point(rs, [rng.uniform(-2, 2) for _ in range(n)])
+        i = rng.randrange(1, n + 1)
+        row = fc[i - 1]
+        a_i = lam.coords[i - 1]
+        want = lam.coords if a_i == 0 else tuple(
+            a - a_i * row[j] for j, a in enumerate(lam.coords))
+        assert _same(reflect_simple(i, lam).coords, want)
+        pairs = [tuple(sum(fc[j][k] * p.coords[k] for k in range(n)) for j in range(n))
+                 for p in (x, y)]
+        for p, pair in zip((x, y), pairs):
+            assert _same(coweight_coords(p), pair)
+            want = list(p.coords)
+            want[i - 1] -= pair[i - 1]
+            got = reflect_simple_point(i, p)
+            assert got.exact is p.exact and _same(got.coords, tuple(want))
+            if rs.is_simple:
+                shift = 1 - sum(a * b for a, b in zip(fxi, p.coords))
+                got = reflect_r0(p)
+                assert got.exact is p.exact and _same(
+                    got.coords, tuple(b + shift * q for b, q in zip(p.coords, rs.comarks)))
+        assert _same(point_to_weight(x).coords, tuple(
+            sum(F(2, 1) / rs.lengths_sq[j] * fc[j][k] * x.coords[k] for k in range(n))
+            for j in range(n)))
