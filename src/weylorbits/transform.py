@@ -14,12 +14,12 @@ torsion points below at any level ``M`` that separates the weights, for
 every rank and for product systems.
 
 Finite side: scalar products over the torsion lattice ``T_m`` are
-computed in closed form from orbit residues mod ``m``.  Summing
-``exp(2 pi i <a - b, s/m>)`` over ``s`` in ``(Z/m)^n`` gives ``m^n`` when
-``a = b`` mod ``m`` coordinate-wise and 0 otherwise, so
-``sum over T_m of phi_lam . conj(phi_mu)`` is ``m^n`` times the number of
-congruent pairs in ``O(lam) x O(mu)``, and ``m`` separates the two orbits
-when no such pair exists apart from a point with itself.  Expansion
+computed in closed form.  Summing ``exp(2 pi i <a - b, s/m>)`` over ``s``
+in ``(Z/m)^n`` gives ``m^n`` when ``a = b`` mod ``m`` coordinate-wise and
+0 otherwise.  W acts on the weight lattice by automorphisms, so such a
+pair of orbit points is W-conjugate to ``(lam, nu)`` with ``m`` dividing
+the content (coordinate gcd) of ``lam - nu``; ``m`` separates the orbits
+when it divides no content but that of a point with itself.  Expansion
 coefficients of a function over separated weights are recovered exactly
 from the level-``m`` grid points of F in ``(1/m) Q^vee`` alone, each
 weighted by its torus orbit count ``|W| / |Stab|`` (Moody & Patera, Adv.
@@ -29,10 +29,12 @@ Appl. Math. 47 (2011)); no lattice point is enumerated or reduced.
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cache
+from operator import sub
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .root_system import RootSystem
 from .weights import Point, Weight, is_dominant
-from .weyl import _scaled_orbit, orbit, orbit_size
+from .weyl import _scaled_orbit, orbit_size
 from .orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
 
 
@@ -263,29 +265,27 @@ def _check_weight(rs: RootSystem, lam: Weight) -> None:
         raise DomainError("transform weights must be integral")
 
 
-def _residues(lam: Weight, m: int) -> Counter:
-    """Orbit points of an integral weight counted by coordinates mod ``m``."""
-    return Counter(tuple(c % m for c in p) for p in _scaled_orbit(lam)[1])  # integral: d = 1
-
-
-def _separated(a: Counter, b: Counter, same: bool) -> bool:
-    """No residue in ``a`` or ``b`` holds two orbit points, and for two
-    different weights no residue holds a point of each."""
-    return max(a.values()) == 1 == max(b.values()) and (same or a.keys().isdisjoint(b))
+def _contents(lambdas: Sequence[Weight]) -> Callable[[int, int], Iterator[int]]:
+    """``contents(i, j)`` yields the contents of ``lambda_i - nu``, ``nu`` in
+    ``O(lambda_j)`` but ``lambda_i``, each orbit enumerated once, on first
+    use.  All weights must be transform weights of one root system."""
+    for lam in lambdas:
+        _check_weight(lambdas[0].rs, lam)
+    points = [tuple(map(int, lam.coords)) for lam in lambdas]
+    orbit = cache(lambda j: _scaled_orbit(lambdas[j])[1])  # integral: d = 1
+    return lambda i, j: (math.gcd(*map(sub, points[i], nu)) for nu in orbit(j) if nu != points[i])
 
 
 def _first_unseparated(lambdas: Sequence[Weight], m: int) -> tuple[Weight, Weight] | None:
     """The first pair ``(a, b)``, ``b`` at or after ``a``, that ``m`` does
-    not separate, or None.  Every weight must be a transform weight of
-    the first one's root system."""
-    for lam in lambdas:
-        _check_weight(lambdas[0].rs, lam)
-    res = [_residues(lam, m) for lam in lambdas]
-    for i, a in enumerate(lambdas):
-        for b, rb in zip(lambdas[i:], res[i:]):
-            if not _separated(res[i], rb, a.coords == b.coords):
-                return a, b
-    return None
+    not separate, or None: ``m`` divides a content of ``(a, a)``,
+    ``(b, b)`` or ``(a, b)``."""
+    if m < 1:
+        raise DomainError("lattice order must be a positive integer")
+    contents, n = _contents(lambdas), len(lambdas)
+    hit = {(i, j): any(c % m == 0 for c in contents(i, j)) for i in range(n) for j in range(i, n)}
+    return next(((lambdas[i], lambdas[j]) for i, j in hit
+                 if hit[i, i] or hit[j, j] or hit[i, j]), None)
 
 
 def _require_separated(lambdas: Sequence[Weight], m: int) -> None:
@@ -305,28 +305,27 @@ def separates(lam: Weight, mu: Weight, m: int) -> bool:
 
 def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
     """Smallest lattice order separating every pair (including each
-    weight against itself)."""
+    weight against itself): the least ``m`` dividing no content."""
     if not lambdas:
         raise DomainError("need at least one weight")
-    # Upper bound: any m larger than the largest coordinate gap works.
-    columns = zip(*(p.coords for lam in lambdas for p in orbit(lam).points))
-    hi = max(int(max(col) - min(col)) + 1 for col in columns)
-    for m in range(1, hi + 1):
-        if _first_unseparated(lambdas, m) is None:
-            return m
-    raise SeparationFailure("no separating order within the coordinate spread")
+    contents, n = _contents(lambdas), len(lambdas)
+    found = {c for i in range(n) for j in range(i, n) for c in contents(i, j)}
+    return next(m for m in range(1, max(found, default=0) + 2) if all(c % m for c in found))
 
 
 def tm_scalar_product(lam: Weight, mu: Weight, m: int, cap: int = 10**7) -> Cyc:
     """Exact scalar product ``sum over T_m of phi_lam . conj(phi_mu)``:
-    ``m**rank`` times the number of orbit-point pairs congruent mod ``m``."""
-    _check_weight(lam.rs, lam)
-    _check_weight(lam.rs, mu)
+    ``m**rank |O(lam)|`` times the number of ``nu`` in ``O(mu)`` congruent
+    to ``lam`` mod ``m``.  ``cap`` bounds ``m**rank``, the lattice the sum
+    is defined over."""
+    if m < 1:
+        raise DomainError("lattice order must be a positive integer")
+    contents = _contents([lam, mu])(0, 1)
     points = m**lam.rs.rank
     if points > cap:
         raise CapExceeded(f"lattice would have {points} points")
-    a, b = _residues(lam, m), _residues(mu, m)
-    return Cyc.from_rational(m, points * sum(c * b[r] for r, c in a.items()))
+    congruent = sum(c % m == 0 for c in contents) + (lam.coords == mu.coords)
+    return Cyc.from_rational(m, points * orbit_size(lam) * congruent)
 
 
 def finite_forward(

@@ -1,11 +1,13 @@
 """Command-line interface: output shapes, exit codes, golden rows."""
 
+import ast
 import json
 import math
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -344,3 +346,46 @@ def test_readme_examples(capsys):
             assert _same_fields(got[k], want), (argv, got[k], want)
         else:
             assert len(got) == len(shown), argv
+
+
+def test_readme_library_values():
+    """Every ``# <value>`` comment in the README's ``python`` block that
+    evaluates (with ``Fraction`` in scope) matches the value of its line,
+    or of the line above when the comment stands alone; complex values to
+    1e-12."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    scope, above, compared = {}, None, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = above
+        if code.strip():
+            try:
+                value = eval(code, scope)
+            except SyntaxError:
+                exec(code, scope)
+                value = None
+        above = value if code.strip() else None
+        if not comment.strip() or value is None:
+            continue
+        try:
+            want = eval(comment, {"Fraction": Fraction})
+        except (SyntaxError, NameError):
+            continue
+        if isinstance(want, complex):
+            assert abs(value - want) <= 1e-12, (line, value)
+        else:
+            assert value == want, (line, value)
+        compared += 1
+    if compared < 3:
+        pytest.fail(f"only {compared} README values compared")
+
+
+def test_library_raises_errors_not_asserts():
+    """Failures in the library are raised as errors, which ``python -O``
+    keeps and the CLI reports; an ``assert`` statement would be stripped."""
+    src = Path(__file__).resolve().parents[1] / "src" / "weylorbits"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    if found:
+        pytest.fail(f"assert statements in the library: {found}")

@@ -1,10 +1,12 @@
 """Continuous quadrature transforms and exact finite lattice transforms."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylorbits as w
 import weylorbits.transform as transform_mod
@@ -285,6 +287,102 @@ def test_minimal_separating_m():
     assert minimal_separating_m([_wt("A2", (1, 0)), _wt("A2", (0, 1))]) == 3
     with pytest.raises(w.DomainError):
         minimal_separating_m([])
+
+
+# -- the content rule against the residue scan it replaced ---------------------------
+
+CONTENT_SYSTEMS = ["A1", "A2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4",
+                   "A1xG2", "C2xA1", "A1xA1xA1"]
+
+
+def _ref_residues(lam, m):
+    return Counter(tuple(int(c) % m for c in p.coords) for p in w.orbit(lam).points)
+
+
+def _ref_first_unseparated(lambdas, res):
+    """Reference: given each weight's residue Counter, a pair is unseparated
+    when a residue holds two points of one orbit, or, for two different
+    weights, a point of each."""
+    for i, a in enumerate(lambdas):
+        for b, rb in zip(lambdas[i:], res[i:]):
+            ra = res[i]
+            if not (max(ra.values()) == 1 == max(rb.values())
+                    and (a.coords == b.coords or ra.keys().isdisjoint(rb))):
+                return a, b
+    return None
+
+
+def _coordinate_spread(lambdas):
+    columns = zip(*(p.coords for lam in lambdas for p in w.orbit(lam).points))
+    return max(int(max(col) - min(col)) for col in columns)
+
+
+@st.composite
+def weight_sets(draw):
+    rs = w.root_system(draw(st.sampled_from(CONTENT_SYSTEMS)))
+    top = 2 if rs.rank <= 3 else 1
+    coords = st.lists(st.integers(0, top), min_size=rs.rank, max_size=rs.rank)
+    return [w.weight(rs, c) for c in draw(st.lists(coords, min_size=1, max_size=4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_sets())
+def test_content_rule_matches_residue_scan(lams):
+    """First unseparated pair, least separating order and T_m scalar
+    products (coefficients and their types) against the residue scan, for
+    every order up to the coordinate spread plus one."""
+    ms = range(1, _coordinate_spread(lams) + 2)
+    res = {m: [_ref_residues(lam, m) for lam in lams] for m in ms}
+    assert minimal_separating_m(lams) == next(
+        m for m in ms if _ref_first_unseparated(lams, res[m]) is None)
+    for m in ms:
+        assert transform_mod._first_unseparated(lams, m) == _ref_first_unseparated(lams, res[m])
+        for i, (lam, a) in enumerate(zip(lams, res[m])):
+            for mu, b in zip(lams[i:], res[m][i:]):
+                got = tm_scalar_product(lam, mu, m)
+                want = Cyc.from_rational(m, m**lam.rs.rank * sum(c * b[r] for r, c in a.items()))
+                assert got.coeffs == want.coeffs, (m, lam, mu)
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("name,coords,m", [
+    ("F4", (1, 1, 1, 1), 12),
+    ("E6", (1, 0, 0, 0, 0, 1), 4),
+    ("E7", (1, 0, 0, 0, 0, 0, 0), 3),
+    ("D5", (1, 1, 0, 0, 1), 5),
+])
+def test_minimal_separating_m_large_orbits(name, coords, m):
+    lam = _wt(name, coords)
+    assert minimal_separating_m([lam]) == m
+    assert separates(lam, lam, m) and not separates(lam, lam, m - 1)
+
+
+@pytest.mark.parametrize("m", [0, -4])
+def test_lattice_orders_below_one(m):
+    lam = _wt("A2", (1, 0))
+    for call in (lambda: separates(lam, lam, m), lambda: tm_scalar_product(lam, lam, m),
+                 lambda: finite_forward(lambda x: 1, [lam], m)):
+        with pytest.raises(w.DomainError, match="positive integer"):
+            call()
+
+
+@pytest.mark.parametrize("name,coords,m,pair", [
+    ("A1", [(0,), (1,)], 2, (0, 1)),
+    ("A2", [(0, 0), (3, 0)], 3, (0, 1)),
+    ("A2", [(1, 1), (1, 1)], 3, (0, 0)),
+])
+@pytest.mark.parametrize("run", ["finite_forward", "orthogonality_gram"])
+def test_separation_failure_reports_first_pair(name, coords, m, pair, run):
+    rs = w.root_system(name)
+    lams = [w.weight(rs, c) for c in coords]
+    with pytest.raises(w.SeparationFailure) as exc:
+        if run == "finite_forward":
+            finite_forward(lambda x: 1, lams, m)
+        else:
+            orthogonality_gram(rs, lams, m)
+    a, b = lams[pair[0]], lams[pair[1]]
+    assert exc.value.pair == (a, b)
+    assert str(exc.value) == f"order {m} does not separate {a.coords} and {b.coords}"
 
 
 def test_tm_scalar_product_orthogonality():
