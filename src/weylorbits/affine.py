@@ -9,7 +9,7 @@ lattice of a given denominator) and classifies points by the orders at
 which their multiples return to the coweight and coroot lattices.  The
 level-``m`` grid points in ``(1/m) Q^vee``, each weighted by its
 :func:`orbit_count`, stand for the whole torsion lattice of order ``m``;
-:func:`torsion_grid` lists them for both orbit-function transforms.
+:func:`torsion_grid` and its integer form serve both transforms.
 """
 
 from __future__ import annotations
@@ -193,19 +193,21 @@ def orbit_count(gp: GridPoint) -> int:
     return _orbit_count(gp.rs, tuple(k for k, s in enumerate(gp.kac) if s == 0))
 
 
-def torsion_grid(rs: RootSystem, m: int, cap: int = 10**7) -> list[tuple[Point, int]]:
-    """The points of ``T_m`` in F with their :func:`orbit_count`, sorted by
-    coordinates: the level-``m`` grid points in ``(1/m) Q^vee``.  ``cap``
-    bounds the grid points enumerated.  The counts sum to ``m**rank``."""
+def _torsion_ints(rs: RootSystem, m: int, cap: int = 10**7) -> list[tuple[tuple[int, ...], int]]:
+    """:func:`torsion_grid` in integers: ``(v, count)`` with ``x = v / m``."""
     dinv, grid = _scaled_grid(rs, m, cap)
     # x = v / (dinv m) lies in (1/m) Q^vee iff dinv divides every v_k.
     kept = sorted((tuple(c // dinv for c in v), kac) for kac, v in grid
                   if all(c % dinv == 0 for c in v))
-    return [
-        (Point(rs, _unscale(v, m), exact=True),
-         _orbit_count(rs, tuple(k for k, s in enumerate(kac) if s == 0)))
-        for v, kac in kept
-    ]
+    return [(v, _orbit_count(rs, tuple(k for k, s in enumerate(kac) if s == 0)))
+            for v, kac in kept]
+
+
+def torsion_grid(rs: RootSystem, m: int, cap: int = 10**7) -> list[tuple[Point, int]]:
+    """The points of ``T_m`` in F with their :func:`orbit_count`, sorted by
+    coordinates: the level-``m`` grid points in ``(1/m) Q^vee``.  ``cap``
+    bounds the grid points enumerated.  The counts sum to ``m**rank``."""
+    return [(Point(rs, _unscale(v, m), exact=True), n) for v, n in _torsion_ints(rs, m, cap)]
 
 
 def lattice_tm(rs: RootSystem, m: int, cap: int = 10**7) -> list[Point]:

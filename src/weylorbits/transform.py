@@ -1,17 +1,17 @@
 """Continuous and finite orbit-function transforms.
 
 Continuous side: a composite quadrature over the fundamental simplex
-(rank at most 3) built from a tensor Gauss rule on the unit cube pushed
-through the collapsing map onto the simplex.  Node weights are
-normalized to sum to one, so plain weighted sums compute averages over
-the domain, which is the normalization in which distinct orbit
-functions are orthogonal and ``|phi_lambda|^2`` averages to the orbit
-size.  Rules and orbit-function node values are cached, each cache
-bounded in bytes.  Orthogonality Grams use no rule: ``phi_lam .
-conj(phi_mu)`` has the differences of orbit points as frequencies, so
-its average over F equals, up to rounding, its average over the
-torsion points below at any level ``M`` that separates the weights, for
-every rank and for product systems.
+(rank at most 3), a tensor Gauss rule on the unit cube pushed through
+the collapsing map and built from its 1-D factors: the cube weights,
+the Jacobian and each simplex coordinate are broadcast products of
+per-axis vectors.  Node weights sum to one, so weighted sums are
+averages over the domain, in which distinct orbit functions are
+orthogonal and ``|phi_lambda|^2`` averages to the orbit size.  Rules
+and orbit-function node values are cached, each cache bounded in bytes.
+Orthogonality Grams use no rule: ``phi_lam . conj(phi_mu)`` has the
+differences of orbit points as frequencies, so its average over F
+equals, up to rounding, its average over the torsion points below at
+any separating level ``M``, at every rank and on product systems.
 
 Finite side: scalar products over the torsion lattice ``T_m`` are
 computed in closed form.  Summing ``exp(2 pi i <a - b, s/m>)`` over ``s``
@@ -32,13 +32,13 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import sub
+from functools import cache, reduce
+from operator import index, sub
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .affine import fundamental_vertices, torsion_grid
+from .affine import _torsion_ints, fundamental_vertices, torsion_grid
 from .cyclotomic import Cyc
 from .errors import (
     CapExceeded,
@@ -74,12 +74,14 @@ def _sorted_spectrum(entries) -> list[SpectrumEntry]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite rule on the fundamental simplex.
+    """Composite rule on the fundamental simplex: ``(5 level)**rank``
+    Gauss points of the unit cube, axis 0 slowest, collapsed onto it.
 
     ``nodes_bary`` holds barycentric coordinates against the simplex
-    vertices (origin first), ``nodes`` the same points in coroot
-    coordinates, and ``weights`` sums to one.  ``order`` is a
-    conservative per-cell polynomial exactness degree.
+    vertices (origin first); its last ``rank`` columns times the other
+    vertices give ``nodes``, the same points in coroot coordinates.
+    ``weights`` sums to one.  ``order`` is a conservative per-cell
+    polynomial exactness degree.
     """
 
     rs: RootSystem
@@ -121,40 +123,37 @@ def build_quadrature(rs: RootSystem, level: int) -> QuadratureRule:
         raise UnsupportedType("quadrature is built per simple system")
     if rs.rank > 3:
         raise UnsupportedRank("quadrature covers rank 1 to 3")
-    if level < 1:
-        raise DomainError("quadrature level must be positive")
+    level = _level(level)
     return _rule_cache.get((rs.name, level), lambda: _composite_rule(rs, level))
+
+
+def _level(level) -> int:
+    """A quadrature or Gram level as an int: an integer, not a bool, of at least 1."""
+    if isinstance(level, bool) or not hasattr(level, "__index__") or index(level) < 1:
+        raise DomainError(f"level must be a positive integer, not {level!r}")
+    return index(level)
 
 
 def _composite_rule(rs: RootSystem, level: int) -> QuadratureRule:
     rank = rs.rank
     xg, wg = np.polynomial.legendre.leggauss(_GAUSS_Q)
-    cells = (np.arange(level)[:, None] + (xg[None, :] + 1) / 2) / level
-    axis_pts = cells.reshape(-1)
-    axis_wts = np.tile(wg / (2 * level), level)
-    grids = np.meshgrid(*([axis_pts] * rank), indexing="ij")
-    cube = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([axis_wts] * rank), indexing="ij")
-    cube_w = np.ones(cube.shape[0])
-    for g in wgrids:
-        cube_w = cube_w * g.reshape(-1)
+    u = ((np.arange(level)[:, None] + (xg[None, :] + 1) / 2) / level).reshape(-1)
     # Collapsing map x_k = u_k (1 - u_0) ... (1 - u_{k-1}), with Jacobian
-    # the product of (1 - u_k)^(rank - 1 - k).
-    cols, jac = [], np.ones(cube.shape[0])
+    # the product of (1 - u_k)^(rank - 1 - k).  Each factor multiplies per-axis
+    # vectors (``np.ix_``) left to right, full size only at the last product.
+    nodes_bary = np.empty((u.size**rank, rank + 1))
+    cube = nodes_bary.reshape((u.size,) * rank + (rank + 1,))
+    ax, om = np.ix_(*[u] * rank), np.ix_(*[1 - u] * rank)
     for k in range(rank):
-        col = cube[:, k]
-        for j in range(k):
-            col = col * (1 - cube[:, j])
-        cols.append(col)
-        jac = jac * (1 - cube[:, k]) ** (rank - 1 - k)
-    simplex = np.stack(cols, axis=1)
-    weights = cube_w * jac
-    weights = weights / weights.sum()
-    bary0 = 1 - simplex.sum(axis=1)
-    nodes_bary = np.concatenate([bary0[:, None], simplex], axis=1)
+        cube[..., k + 1] = reduce(np.multiply, om[:k], ax[k])
+    simplex = nodes_bary[:, 1:]
+    cube_w = reduce(np.multiply, np.ix_(*[np.tile(wg / (2 * level), level)] * rank))
+    jac = reduce(np.multiply, np.ix_(*[(1 - u) ** (rank - 1 - k) for k in range(rank)]))
+    weights = (cube_w * jac).reshape(-1)
+    weights /= weights.sum()
+    nodes_bary[:, 0] = 1 - simplex.sum(axis=1)
     verts = np.array([[float(c) for c in v.coords] for v in fundamental_vertices(rs)[1:]])
-    nodes = simplex @ verts
-    return QuadratureRule(rs, level, nodes_bary, nodes, weights, order=7)
+    return QuadratureRule(rs, level, nodes_bary, simplex @ verts, weights, order=7)
 
 
 def _integrand_values(g, nodes: np.ndarray, rs: RootSystem) -> np.ndarray:
@@ -164,10 +163,8 @@ def _integrand_values(g, nodes: np.ndarray, rs: RootSystem) -> np.ndarray:
             return vals
     except (TypeError, ValueError, AttributeError):
         pass
-    return np.array(
-        [complex(g(Point(rs, tuple(row), exact=False))) for row in nodes],
-        dtype=complex,
-    )
+    return np.array([complex(g(Point(rs, tuple(row), exact=False))) for row in nodes],
+                    dtype=complex)
 
 
 def quadrature_integrate(rs: RootSystem, g, level: int) -> complex:
@@ -241,11 +238,12 @@ def orthogonality_gram(rs: RootSystem, lambdas: Sequence[Weight], level: int) ->
     systems.  Raises :class:`SeparationFailure` when ``M`` does not
     separate two weights, where the grid average would not be exact.
     """
+    level = _level(level)
     for lam in lambdas:
         _check_weight(rs, lam)
-    grid = torsion_grid(rs, level)
+    grid = _torsion_ints(rs, level)
     _require_separated(lambdas, level)
-    nodes = np.array([[float(c) for c in x.coords] for x, _ in grid])
+    nodes = np.array([v for v, _ in grid]) / level
     weights = np.array([count for _, count in grid], dtype=float) / level**rs.rank
     block = np.empty((len(grid), len(lambdas)), dtype=complex)
     for j, lam in enumerate(lambdas):

@@ -1,5 +1,6 @@
 """Continuous quadrature transforms and exact finite lattice transforms."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product as iproduct
@@ -12,7 +13,7 @@ import weylorbits as w
 import weylorbits.transform as transform_mod
 from weylorbits import affine
 from weylorbits.cyclotomic import Cyc
-from weylorbits.orbit_fn import eval_exact_cyc, eval_fn, orbit_function
+from weylorbits.orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
 from weylorbits.transform import (
     SpectrumEntry,
     build_quadrature,
@@ -105,6 +106,109 @@ def test_quadrature_errors():
         build_quadrature(w.root_system("A1xA1"), 2)
     with pytest.raises(w.DomainError):
         build_quadrature(w.root_system("A2"), 0)
+
+
+@pytest.mark.parametrize("level", [2.5, "3", True, 0, -2])
+def test_levels_must_be_positive_integers(level):
+    """Every float-path level goes through one check: an integer by
+    ``operator.index``, not a bool, and at least 1."""
+    rs = w.root_system("A2")
+    ones = lambda pts: np.ones(len(pts))
+    for call in (lambda: build_quadrature(rs, level),
+                 lambda: quadrature_integrate(rs, ones, level),
+                 lambda: forward_transform(rs, ones, [_wt("A2", (1, 0))], level),
+                 lambda: plancherel(rs, [], ones, level),
+                 lambda: orthogonality_gram(rs, [_wt("A2", (1, 0))], level)):
+        with pytest.raises(w.DomainError, match="positive integer"):
+            call()
+
+
+def test_numpy_integer_levels_read_as_int(monkeypatch):
+    cache = _fresh_cache(monkeypatch, "_rule_cache")
+    rs = w.root_system("A2")
+    rule = build_quadrature(rs, np.int64(3))
+    assert type(rule.level) is int and list(cache.entries) == [("A2", 3)]
+    assert build_quadrature(rs, 3) is rule
+    lams = _pool("A2", 2)
+    assert np.array_equal(orthogonality_gram(rs, lams, np.int64(5)), orthogonality_gram(rs, lams, 5))
+
+
+def _meshgrid_rule(rs, level):
+    """``(nodes_bary, nodes, weights)`` built from full meshgrids and
+    column products, the way the rule was first built: the builder from
+    1-D factors must match it bit for bit."""
+    rank = rs.rank
+    xg, wg = np.polynomial.legendre.leggauss(transform_mod._GAUSS_Q)
+    axis_pts = ((np.arange(level)[:, None] + (xg[None, :] + 1) / 2) / level).reshape(-1)
+    axis_wts = np.tile(wg / (2 * level), level)
+    grids = np.meshgrid(*([axis_pts] * rank), indexing="ij")
+    cube = np.stack([g.reshape(-1) for g in grids], axis=1)
+    cube_w = np.ones(cube.shape[0])
+    for g in np.meshgrid(*([axis_wts] * rank), indexing="ij"):
+        cube_w = cube_w * g.reshape(-1)
+    cols, jac = [], np.ones(cube.shape[0])
+    for k in range(rank):
+        col = cube[:, k]
+        for j in range(k):
+            col = col * (1 - cube[:, j])
+        cols.append(col)
+        jac = jac * (1 - cube[:, k]) ** (rank - 1 - k)
+    simplex = np.stack(cols, axis=1)
+    weights = cube_w * jac
+    weights = weights / weights.sum()
+    nodes_bary = np.concatenate([(1 - simplex.sum(axis=1))[:, None], simplex], axis=1)
+    verts = np.array([[float(c) for c in v.coords] for v in w.fundamental_vertices(rs)[1:]])
+    return nodes_bary, simplex @ verts, weights
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "A3", "B3", "C3"])
+def test_rule_matches_meshgrid_reference(monkeypatch, name):
+    _fresh_cache(monkeypatch, "_rule_cache")
+    rs = w.root_system(name)
+    for level in (1, 2, 5, 12):
+        rule = build_quadrature(rs, level)
+        for got, want in zip((rule.nodes_bary, rule.nodes, rule.weights),
+                             _meshgrid_rule(rs, level)):
+            assert got.shape == want.shape and np.array_equal(got, want), (name, level)
+
+
+@pytest.mark.parametrize("name, level", [("C3", 12), ("G2", 64)])
+def test_rule_build_peak_memory(monkeypatch, name, level):
+    """Building a rule allocates little beyond the rule itself: no full
+    meshgrid or column product is held next to it."""
+    cache = _fresh_cache(monkeypatch, "_rule_cache")
+    rs = w.root_system(name)
+    tracemalloc.start()
+    try:
+        rule = build_quadrature(rs, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * cache.size(rule)
+
+
+def _fraction_node_gram(rs, lams, level):
+    """The Gram with its nodes built as Fraction points of
+    :func:`affine.torsion_grid`, converted coordinate by coordinate."""
+    grid = affine.torsion_grid(rs, level)
+    nodes = np.array([[float(c) for c in x.coords] for x, _ in grid])
+    weights = np.array([count for _, count in grid], dtype=float) / level**rs.rank
+    block = np.empty((len(grid), len(lams)), dtype=complex)
+    for j, lam in enumerate(lams):
+        block[:, j] = eval_many(orbit_function(lam), nodes)
+    return block.conj().T @ (weights[:, None] * block)
+
+
+@pytest.mark.parametrize("name, level, top", [
+    ("A2", 64, 3), ("C2", 64, 3), ("G2", 64, 3), ("A3", 24, 3), ("B3", 24, 3), ("C3", 24, 3),
+    ("D4", None, 2), ("A1xG2", None, 2), ("F4", None, 2),
+])
+def test_gram_matches_fraction_node_reference(name, level, top):
+    """Nodes read from the integer torsion grid as ``v / M`` are the
+    floats of the Fraction points."""
+    rs, lams = w.root_system(name), _pool(name, top)
+    level = level or minimal_separating_m(lams)
+    assert np.array_equal(orthogonality_gram(rs, lams, level), _fraction_node_gram(rs, lams, level))
 
 
 def test_orthogonality_gram_diagonal():
