@@ -20,7 +20,7 @@ from .affine import (
     lattice_tm,
     rational_elements,
 )
-from .errors import WeylOrbitsError
+from .errors import DomainError, WeylOrbitsError
 from .orbit_algebra import branch_restrict, builtin_projection, product
 from .orbit_fn import (
     an_identity_suite,
@@ -97,7 +97,12 @@ def _parse_spectrum(rs, text: str) -> list[SpectrumEntry]:
         try:
             coeff: object = Fraction(coeff_part)
         except (ValueError, ZeroDivisionError):
-            coeff = complex(coeff_part)
+            try:
+                coeff = complex(coeff_part)
+            except ValueError:
+                raise DomainError(
+                    f"cannot read spectrum coefficient {coeff_part!r} in {chunk!r}"
+                ) from None
         entries.append(SpectrumEntry(lam, coeff))
     return entries
 

@@ -31,7 +31,8 @@ from .errors import (
     UnknownPair,
     UnsupportedType,
 )
-from .root_system import RootSystem, dynkin_components, parabolic_order, root_system
+from .root_system import RootSystem, _component_type, dynkin_components
+from .root_system import parabolic_order, root_system
 from .weights import Weight, _scale, _unscale, inner_product, is_dominant
 from .weights import is_strictly_dominant, weight_to_point
 from .weyl import _bonds, _dominate, _scaled_orbit, orbit_size
@@ -377,23 +378,15 @@ def branch_restrict(lam: Weight, proj: ProjectionMatrix, cap: int = 10**7) -> Or
 # ---------------------------------------------------------------------------
 # Equal-rank branching through a root subsystem.
 
-_CANDIDATE_SERIES = ("A", "B", "C", "D", "E", "F", "G")
-
-
 def _recognize_component(cartan_rows: list[list[int]]) -> RootSystem:
-    k = len(cartan_rows)
-    for series in _CANDIDATE_SERIES:
-        try:
-            cand = root_system(f"{series}{k}")
-        except UnsupportedType:
-            continue
-        if all(
-            cand.cartan[i][j] == cartan_rows[i][j]
-            for i in range(k)
-            for j in range(k)
-        ):
-            return cand
-    raise UnknownPair("sub-diagram does not match a supported type in this order")
+    """The simple system whose Cartan matrix is ``cartan_rows``, nodes in order."""
+    try:
+        cand = root_system("%s%d" % _component_type(cartan_rows, range(len(cartan_rows))))
+    except UnsupportedType:  # not of finite type
+        cand = None
+    if cand is None or cand.cartan != tuple(map(tuple, cartan_rows)):
+        raise UnknownPair("sub-diagram does not match a supported type in this order")
+    return cand
 
 
 def branch_equal_rank(lam: Weight, sub_roots: Sequence[Weight], cap: int = 10**7) -> OrbitSum:

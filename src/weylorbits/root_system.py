@@ -24,10 +24,10 @@ from ._linalg import Matrix
 from .errors import UnsupportedType
 
 _EXCEPTIONAL_WEYL = {
-    ("E", 6): 51_840,
-    ("E", 7): 2_903_040,
-    ("E", 8): 696_729_600,
-    ("F", 4): 1_152,
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
     ("G", 2): 12,
 }
 
@@ -40,7 +40,10 @@ def weyl_order_formula(series: str, rank: int) -> int:
         return 2**rank * factorial(rank)
     if series == "D":
         return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_WEYL[(series, rank)]
+    try:
+        return _EXCEPTIONAL_WEYL[(series, rank)]
+    except KeyError:
+        raise UnsupportedType(f"no Weyl group of type {series}{rank}") from None
 
 
 def _chain_cartan(rank: int) -> list[list[int]]:
@@ -285,64 +288,47 @@ def factor_slices(rs: RootSystem) -> list[tuple["RootSystem", slice]]:
     return out
 
 
-def _component_order(cartan, nodes: list[int]) -> int:
-    """Weyl order of one connected sub-diagram given by ``nodes``."""
+def _component_type(cartan, nodes) -> tuple[str, int]:
+    """Finite type ``(series, rank)`` of the connected sub-diagram on
+    ``nodes``, by the rule given in :func:`parabolic_order`."""
     k = len(nodes)
-    if k == 1:
-        return 2
-    bonds = {}
-    adj = {v: [] for v in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i < j and cartan[i][j] != 0:
-                b = cartan[i][j] * cartan[j][i]
-                bonds[(i, j)] = b
-                adj[i].append(j)
-                adj[j].append(i)
-    if any(b == 3 for b in bonds.values()):
-        if k != 2:
-            raise UnsupportedType("unrecognized sub-diagram")
-        return 12
-    degrees = {v: len(adj[v]) for v in nodes}
-    is_path = all(d <= 2 for d in degrees.values()) and sum(
-        1 for d in degrees.values() if d == 1
-    ) == 2
-    doubles = [e for e, b in bonds.items() if b == 2]
-    if doubles:
-        if len(doubles) != 1 or not is_path:
-            raise UnsupportedType("unrecognized sub-diagram")
-        i, j = doubles[0]
-        if degrees[i] == 1 or degrees[j] == 1:
-            return 2**k * factorial(k)  # B- or C-type chain
-        if k == 4:
-            return 1_152
+    adj = {v: [u for u in nodes if u != v and cartan[v][u]] for v in nodes}
+    bonds = {cartan[i][j] * cartan[j][i] for i in nodes for j in adj[i]}
+    degrees = sorted(len(a) for a in adj.values())
+    if sum(degrees) != 2 * (k - 1) or degrees[-1] > 3 or not bonds <= {1, 2, 3}:
         raise UnsupportedType("unrecognized sub-diagram")
-    if is_path:
-        return factorial(k + 1)
-    # Simply-laced tree with one trivalent node: D or E type.
-    centers = [v for v, d in degrees.items() if d == 3]
-    if len(centers) != 1 or any(d > 3 for d in degrees.values()):
-        raise UnsupportedType("unrecognized sub-diagram")
-    center = centers[0]
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] != 1:
-        raise UnsupportedType("unrecognized sub-diagram")
-    if arms[1] == 1:
-        return 2 ** (k - 1) * factorial(k)  # D-type
-    try:
-        return _EXCEPTIONAL_WEYL[("E", k)]
-    except KeyError:
-        raise UnsupportedType("unrecognized sub-diagram") from None
+    if degrees[-1] <= 2:  # a path
+        if bonds <= {1}:
+            return "A", k
+        if bonds == {3} and k == 2:
+            return "G", 2
+        doubles = [(i, j) for i in nodes for j in adj[i] if cartan[i][j] == -2]
+        if 3 not in bonds and len(doubles) == 1:
+            long, short = doubles[0]
+            if k == 2:
+                return "C", 2
+            if len(adj[short]) == 1:
+                return "B", k
+            if len(adj[long]) == 1:
+                return "C", k
+            if k == 4:
+                return "F", 4
+    elif bonds == {1} and degrees[-2] <= 2:
+        # One trivalent node: walk each of its arms out to the end.
+        center = next(v for v in nodes if len(adj[v]) == 3)
+        arms = []
+        for cur in adj[center]:
+            prev, length = center, 1
+            while len(adj[cur]) == 2:
+                prev, cur = cur, next(u for u in adj[cur] if u != prev)
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            return "D", k
+        if arms[:2] == [1, 2] and arms[2] <= 4:
+            return "E", k
+    raise UnsupportedType("unrecognized sub-diagram")
 
 
 def dynkin_components(cartan, nodes) -> list[list[int]]:
@@ -360,10 +346,26 @@ def parabolic_order(cartan, indices) -> int:
     """Order of the subgroup generated by the reflections in ``indices``.
 
     ``cartan`` holds the rows of a Cartan matrix, finite or extended, and
-    ``indices`` are 0-based node positions; the subgroup is a product of
-    Weyl groups of the connected components of the induced sub-diagram.
+    ``indices`` are 0-based node positions; the subgroup is the product of
+    the Weyl groups of the connected components of the induced
+    sub-diagram, so an empty ``indices`` gives 1.  A component of ``k``
+    nodes must be a tree whose nodes have degree at most 3, and is typed
+    as follows (the long node of a double bond is the one whose Cartan
+    entry towards the other is -2):
+
+    - a path of single bonds: ``A_k`` (one node is ``A1``);
+    - two nodes joined by a triple bond: ``G2``;
+    - a path with one double bond: ``C2`` when ``k = 2``; at an end of
+      the path, ``B_k`` if the end node is short and ``C_k`` if it is
+      long; in the middle, ``F4`` when ``k = 4``;
+    - single bonds and one trivalent node with arms of ``(1, 1, k - 3)``
+      nodes: ``D_k``; arms ``(1, 2, 2)``, ``(1, 2, 3)``, ``(1, 2, 4)``:
+      ``E6``, ``E7``, ``E8``.
+
+    Any other component, such as a full extended diagram, is not of
+    finite type and raises :class:`UnsupportedType`.
     """
     order = 1
     for comp in dynkin_components(cartan, indices):
-        order *= _component_order(cartan, comp)
+        order *= weyl_order_formula(*_component_type(cartan, comp))
     return order

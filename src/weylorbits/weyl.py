@@ -91,8 +91,6 @@ def _scaled_orbit(lam: Weight, cap: int = 10**7, d: int | None = None):
     coset word by one, so layer ``k + 1`` is exactly the set of such
     images of layer ``k``; each layer is sorted by coordinate tuple.
     """
-    if not is_dominant(lam):
-        raise DomainError("orbit enumeration starts from a dominant weight")
     size = orbit_size(lam)
     if size > cap:
         raise CapExceeded(f"orbit has {size} points, cap is {cap}", size=size)
@@ -141,16 +139,15 @@ class Orbit:
 
 
 def stabilizer_order(lam: Weight) -> int:
-    """Order of the stabilizer of a dominant weight."""
+    """Order of the stabilizer of a dominant weight: the parabolic
+    subgroup of the simple reflections at its zero coordinates."""
     if not is_dominant(lam):
-        raise DomainError("stabilizer formula requires a dominant weight")
-    zero_nodes = tuple(j for j, a in enumerate(lam.coords) if a == 0)
-    return parabolic_order(lam.rs.cartan, zero_nodes) if zero_nodes else 1
+        raise DomainError("stabilizers and orbits start from a dominant weight")
+    return parabolic_order(lam.rs.cartan, [j for j, a in enumerate(lam.coords) if a == 0])
 
 
 def orbit_size(lam: Weight) -> int:
-    if not is_dominant(lam):
-        raise DomainError("orbit_size requires a dominant weight")
+    """Number of points in the orbit of a dominant weight."""
     return lam.rs.weyl_order // stabilizer_order(lam)
 
 

@@ -176,6 +176,15 @@ def test_ftransform_exact_rows(capsys):
     assert lines == ["0,1;1/2;0", "1,0;2;0"]
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("transform", ("--level", "6")), ("ftransform", ("--m", "4"))])
+def test_malformed_spectrum_coefficient_is_a_domain_error(capsys, command, extra):
+    rc, out, err = run(capsys, command, "--type", "A2", "--spectrum", "1,0:abc",
+                       "--lambda-set", "1,0", *extra)
+    assert rc == 2 and out == ""
+    assert err.startswith("DomainError:") and "'abc'" in err
+
+
 def test_laplace_check_row(capsys):
     rc, out, _ = run(capsys, "laplace-check", "--type", "A2",
                      "--lambda", "1,1", "--point", "0.21,0.34")

@@ -275,6 +275,20 @@ def test_branch_equal_rank_errors():
         w.branch_equal_rank(w.weight(rs, (1, 1)), [alpha1])
 
 
+def test_branch_equal_rank_unknown_bases():
+    """Roots closing into a cycle, and a base given out of node order,
+    name no target."""
+    a3 = w.root_system("A3")
+    a1, a2 = w.weight(a3, (2, -1, 0)), w.weight(a3, (-1, 2, -1))
+    cycle = [a1, a2, w.weight(a3, (-1, -1, 1))]  # alpha1, alpha2, -(alpha1 + alpha2)
+    with pytest.raises(w.UnknownPair):
+        w.branch_equal_rank(w.weight(a3, (1, 1, 1)), cycle)
+    b3 = w.root_system("B3")
+    reversed_base = [w.weight(b3, row) for row in reversed(b3.cartan)]
+    with pytest.raises(w.UnknownPair):
+        w.branch_equal_rank(w.weight(b3, (1, 1, 1)), reversed_base)
+
+
 # ---------------------------------------------------------------------------
 # Congruence classes.
 

@@ -1,6 +1,10 @@
 """Cartan data, highest-root data and Weyl orders."""
 
+import signal
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
+from operator import mul
 
 import pytest
 
@@ -8,7 +12,9 @@ import weylorbits as w
 from weylorbits._linalg import mat_inv
 from weylorbits.affine import fundamental_vertices, reflect_r0
 from weylorbits.orbit_fn import laplace_coefficients
-from weylorbits.root_system import _cartan_and_lengths, factor_slices, parabolic_order
+from weylorbits.orbit_algebra import _recognize_component
+from weylorbits.root_system import _cartan_and_lengths, dynkin_components, factor_slices
+from weylorbits.root_system import parabolic_order, weyl_order_formula
 from weylorbits.weights import coweight_coords, point_to_weight, simple_root_weight
 from weylorbits.weyl import reflect_simple, reflect_simple_point
 
@@ -165,6 +171,176 @@ def test_parabolic_order_vs_enumeration(rng):
                 if w.weyl.apply_matrix_to_weight(mat, lam).coords == lam.coords
             )
             assert fixed == w.stabilizer_order(lam)
+
+
+# The sub-diagram classifier against the two classifiers it replaced: a
+# bond-and-degree reading that returned Weyl orders, and a search over the
+# series comparing Cartan matrices.
+
+_REFERENCE_EXCEPTIONAL = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}
+
+
+def _reference_component_order(cartan, nodes):
+    k = len(nodes)
+    if k == 1:
+        return 2
+    bonds = {}
+    adj = {v: [] for v in nodes}
+    for i in nodes:
+        for j in nodes:
+            if i < j and cartan[i][j] != 0:
+                b = cartan[i][j] * cartan[j][i]
+                bonds[(i, j)] = b
+                adj[i].append(j)
+                adj[j].append(i)
+    if any(b == 3 for b in bonds.values()):
+        if k != 2:
+            raise w.UnsupportedType("unrecognized sub-diagram")
+        return 12
+    degrees = {v: len(adj[v]) for v in nodes}
+    is_path = all(d <= 2 for d in degrees.values()) and sum(
+        1 for d in degrees.values() if d == 1
+    ) == 2
+    doubles = [e for e, b in bonds.items() if b == 2]
+    if doubles:
+        if len(doubles) != 1 or not is_path:
+            raise w.UnsupportedType("unrecognized sub-diagram")
+        i, j = doubles[0]
+        if degrees[i] == 1 or degrees[j] == 1:
+            return 2**k * factorial(k)
+        if k == 4:
+            return 1152
+        raise w.UnsupportedType("unrecognized sub-diagram")
+    if is_path:
+        return factorial(k + 1)
+    centers = [v for v, d in degrees.items() if d == 3]
+    if len(centers) != 1 or any(d > 3 for d in degrees.values()):
+        raise w.UnsupportedType("unrecognized sub-diagram")
+    center = centers[0]
+    arms = []
+    for start in adj[center]:
+        length, prev, cur = 1, center, start
+        while True:
+            nxt = [v for v in adj[cur] if v != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] != 1:
+        raise w.UnsupportedType("unrecognized sub-diagram")
+    if arms[1] == 1:
+        return 2 ** (k - 1) * factorial(k)
+    try:
+        return _REFERENCE_EXCEPTIONAL[("E", k)]
+    except KeyError:
+        raise w.UnsupportedType("unrecognized sub-diagram") from None
+
+
+def _reference_parabolic_order(cartan, indices):
+    order = 1
+    for comp in dynkin_components(cartan, indices):
+        order *= _reference_component_order(cartan, comp)
+    return order
+
+
+def _reference_recognize(rows):
+    k = len(rows)
+    for series in "ABCDEFG":
+        try:
+            cand = w.root_system(f"{series}{k}")
+        except w.UnsupportedType:
+            continue
+        if all(cand.cartan[i][j] == rows[i][j] for i in range(k) for j in range(k)):
+            return cand
+    raise w.UnknownPair("sub-diagram does not match a supported type in this order")
+
+
+def _extended_rows(rs):
+    """Cartan rows of the extended diagram, the extra node first."""
+    return [(2, *(-a for a in rs.xi_omega))] + [
+        (-sum(map(mul, rs.comarks, row)), *row) for row in rs.cartan
+    ]
+
+
+CLASSIFIED_SYSTEMS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(3, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_parabolic_order_matches_reference_classifier():
+    """Every nonempty node subset of a finite diagram, and every nonempty
+    proper subset of an extended one."""
+    cases = 0
+    for name in CLASSIFIED_SYSTEMS:
+        rs = w.root_system(name)
+        for rows, top in ((rs.cartan, rs.rank), (_extended_rows(rs), rs.rank)):
+            for size in range(1, top + 1):
+                for nodes in combinations(range(len(rows)), size):
+                    assert parabolic_order(rows, nodes) == _reference_parabolic_order(
+                        rows, nodes), (name, rows, nodes)
+                    cases += 1
+    assert cases == 7365
+
+
+def test_recognize_component_matches_series_search():
+    """Every node order of a simple diagram: the same type, or the same error."""
+    cases = 0
+    for name in ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "B5", "C2", "C3",
+                 "C4", "C5", "D4", "D5", "F4", "G2"]:
+        c = w.root_system(name).cartan
+        for perm in permutations(range(len(c))):
+            rows = [[c[i][j] for j in perm] for i in perm]
+            try:
+                want = _reference_recognize(rows)
+            except w.UnknownPair:
+                with pytest.raises(w.UnknownPair):
+                    _recognize_component(rows)
+            else:
+                assert _recognize_component(rows) == want
+            cases += 1
+    assert cases == 625
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_SYSTEMS)
+def test_parabolic_order_rejects_extended_diagrams(name):
+    rows = _extended_rows(w.root_system(name))
+    with pytest.raises(w.UnsupportedType):
+        parabolic_order(rows, range(len(rows)))
+
+
+def _simply_laced(n, edges):
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+def test_parabolic_order_rejects_cycles_and_wide_trees():
+    def hung(signum, frame):
+        raise TimeoutError("parabolic_order did not return")
+
+    triangle_with_tail = ((2, -1, -1, -1), (-1, 2, -1, 0), (-1, -1, 2, 0), (-1, 0, 0, 2))
+    # One trivalent node (1) and one four-valent node (3).
+    wide_tree = _simply_laced(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (3, 6)])
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for rows in (triangle_with_tail, wide_tree):
+            with pytest.raises(w.UnsupportedType):
+                parabolic_order(rows, range(len(rows)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("series,rank", [("E", 9), ("F", 3), ("Q", 3)])
+def test_weyl_order_formula_rejects_unknown_types(series, rank):
+    with pytest.raises(w.UnsupportedType):
+        weyl_order_formula(series, rank)
 
 
 # Integer Cartan data against a Fraction construction of the same matrices.
