@@ -24,7 +24,8 @@ from operator import mul
 from ._linalg import block_diagonal
 from .errors import CapExceeded, DomainError, NonTermination, UnsupportedType
 from .root_system import RootSystem, factor_slices, parabolic_order
-from .weights import Point, Weight, _scale, _unscale, weight_to_point, zero_point
+from .weights import Point, _order, _scale, _unscale, fundamental_weight, weight_to_point
+from .weights import zero_point
 
 
 def reflect_r0(x: Point) -> Point:
@@ -44,9 +45,7 @@ def fundamental_vertices(rs: RootSystem) -> list[Point]:
         raise UnsupportedType("the fundamental simplex is defined per simple factor")
     verts = [zero_point(rs)]
     for i in range(1, rs.rank + 1):
-        w = weight_to_point(
-            Weight(rs, tuple(Fraction(int(j == i - 1)) for j in range(rs.rank)))
-        )
+        w = weight_to_point(fundamental_weight(rs, i))
         verts.append(w.scale(Fraction(1, rs.comarks[i - 1])))
     return verts
 
@@ -145,8 +144,6 @@ def _scaled_grid(rs: RootSystem, level: int, cap: int) -> tuple[int, list]:
     """``(dinv, [(kac, v), ...])`` for the level-``M`` grid of F, in kac
     order: ``v`` holds the point's coroot coordinates times ``dinv * M``,
     ``dinv`` the lcm of the denominators of ``cartan_inv``."""
-    if level < 1:
-        raise DomainError("grid level must be a positive integer")
     per_factor = [_factor_kacs(f, level) for f, _ in factor_slices(rs)]
     total = 1
     for kacs in per_factor:
@@ -167,6 +164,7 @@ def _scaled_grid(rs: RootSystem, level: int, cap: int) -> tuple[int, list]:
 
 def grid_fm(rs: RootSystem, level: int, cap: int = 10**7) -> list[GridPoint]:
     """All level-``M`` grid points of the fundamental domain, in kac order."""
+    level = _order(level)
     dinv, grid = _scaled_grid(rs, level, cap)
     return [
         GridPoint(rs, level, kac, Point(rs, _unscale(v, dinv * level), exact=True))
@@ -207,13 +205,13 @@ def torsion_grid(rs: RootSystem, m: int, cap: int = 10**7) -> list[tuple[Point, 
     """The points of ``T_m`` in F with their :func:`orbit_count`, sorted by
     coordinates: the level-``m`` grid points in ``(1/m) Q^vee``.  ``cap``
     bounds the grid points enumerated.  The counts sum to ``m**rank``."""
+    m = _order(m)
     return [(Point(rs, _unscale(v, m), exact=True), n) for v, n in _torsion_ints(rs, m, cap)]
 
 
 def lattice_tm(rs: RootSystem, m: int, cap: int = 10**7) -> list[Point]:
     """The ``m**rank`` torsion points ``(1/m) * coroot lattice mod 1``."""
-    if m < 1:
-        raise DomainError("lattice denominator must be a positive integer")
+    m = _order(m)
     if m**rs.rank > cap:
         raise CapExceeded(f"lattice would have {m**rs.rank} points, cap is {cap}")
     return [Point(rs, _unscale(s, m), exact=True) for s in iproduct(range(m), repeat=rs.rank)]
@@ -276,7 +274,7 @@ def rational_elements(rs: RootSystem, max_level: int, cap: int = 10**7) -> list[
             f" not {rs.name}"
         )
     out = []
-    for level in range(1, max_level + 1):
+    for level in range(1, _order(max_level) + 1):
         for gp in grid_fm(rs, level, cap):
             if math.gcd(*gp.kac) != 1:
                 continue

@@ -39,6 +39,7 @@ from .transform import (
 )
 from .weights import (
     Point,
+    _order,
     coord_str,
     parse_point,
     parse_weight,
@@ -47,10 +48,10 @@ from .weyl import orbit
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    try:
+        return _order(int(text))
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}") from None
 
 
 def _coord_json(value):

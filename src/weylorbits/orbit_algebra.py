@@ -13,6 +13,9 @@ Branching carries an orbit of a system to an orbit sum of a subsystem,
 either through an explicit integer projection matrix acting on
 fundamental-weight coordinates, or (for subsystems of equal rank) by
 reflecting in a chosen set of roots.
+
+Only the stabilizer checks dominance, once per input weight as its
+orbit is sized; regrouping sizes orbits from int dominant points.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .root_system import RootSystem, _component_type, dynkin_components
 from .root_system import parabolic_order, root_system
-from .weights import Weight, _scale, _unscale, inner_product, is_dominant
+from .weights import Weight, _same_system, _scale, _unscale, inner_product
 from .weights import is_strictly_dominant, weight_to_point
 from .weyl import _bonds, _dominate, _scaled_orbit, orbit_size
 
@@ -87,14 +90,14 @@ class OrbitSum:
         return hash((self.rs, frozenset(self.as_dict().items())))
 
 
-def _check_product_args(lam: Weight, mu: Weight, cap: int) -> None:
-    if lam.rs != mu.rs:
-        raise MismatchedSystem(f"{lam.rs.name} does not match {mu.rs.name}")
-    if not (is_dominant(lam) and is_dominant(mu)):
-        raise DomainError("orbit product takes dominant weights")
-    pairs = orbit_size(lam) * orbit_size(mu)
+def _check_product_args(lam: Weight, mu: Weight, cap: int) -> tuple[int, int]:
+    """The two orbit sizes, once the weights share a system and their pairs fit in ``cap``."""
+    _same_system(lam, mu)
+    sizes = orbit_size(lam), orbit_size(mu)
+    pairs = sizes[0] * sizes[1]
     if pairs > cap:
         raise CapExceeded(f"product needs {pairs} point pairs, cap is {cap}", pairs)
+    return sizes
 
 
 def product_fastpath_classify(lam: Weight, mu: Weight) -> str:
@@ -106,8 +109,7 @@ def product_fastpath_classify(lam: Weight, mu: Weight) -> str:
     ``"SeparatedGeneric"`` (``mu`` strictly dominant and no translated
     point touches a reflection hyperplane), or ``"General"``.
     """
-    if lam.rs != mu.rs:
-        raise MismatchedSystem(f"{lam.rs.name} does not match {mu.rs.name}")
+    _same_system(lam, mu)
     if lam.is_zero() or mu.is_zero():
         return "General"
     shifts = _shifts(lam, mu)[1]
@@ -137,16 +139,16 @@ def _regroup(counts: Counter, target: RootSystem, d: int) -> OrbitSum:
         dominant[_dominate(p, bonds)[0]] += count
     terms = {}
     for v, count in dominant.items():
-        rep = Weight(target, _unscale(v, d))
-        mult, rem = divmod(count, orbit_size(rep))
+        stab = parabolic_order(target.cartan, [j for j, c in enumerate(v) if c == 0])
+        mult, rem = divmod(count, target.weyl_order // stab)
         if rem:
             raise DomainError(f"point counts are not aligned with the {target.name} orbits")
-        terms[rep] = mult
+        terms[Weight(target, _unscale(v, d))] = mult
     return OrbitSum.from_counter(target, terms)
 
 
-def _product_brute(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
-    small, large = (lam, mu) if orbit_size(lam) <= orbit_size(mu) else (mu, lam)
+def _product_brute(lam: Weight, mu: Weight, sizes: tuple[int, int], cap: int) -> OrbitSum:
+    small, large = (lam, mu) if sizes[0] <= sizes[1] else (mu, lam)
     d = _scale(lam.coords + mu.coords)[0]
     large_points = _scaled_orbit(large, cap, d)[1]
     bonds = _bonds(lam.rs)
@@ -156,10 +158,10 @@ def _product_brute(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
     return _regroup(counts, lam.rs, d)
 
 
-def _product_cosets(lam: Weight, mu: Weight, cap: int) -> OrbitSum:
+def _product_cosets(lam: Weight, mu: Weight, sizes: tuple[int, int], cap: int) -> OrbitSum:
     """The double-coset sum over the smaller orbit; where ``mu_j = 0``,
     the translated point ``s = a + mu`` has ``s_j = a_j``."""
-    if orbit_size(lam) > orbit_size(mu):
+    if sizes[0] > sizes[1]:
         lam, mu = mu, lam
     rs = lam.rs
     d, shifts = _shifts(lam, mu, cap)
@@ -184,11 +186,11 @@ def product(lam: Weight, mu: Weight, cap: int = 10**7, method: str = "auto") -> 
     ``|W_nu| / |W_J|`` copies of ``O(nu)``, ``nu = dom(a + mu)``,
     ``J = {j : a_j = 0 = mu_j}``.  ``"brute"`` regroups every point pair.
     """
-    _check_product_args(lam, mu, cap)
+    sizes = _check_product_args(lam, mu, cap)
     if method == "auto":
-        return _product_cosets(lam, mu, cap)
+        return _product_cosets(lam, mu, sizes, cap)
     if method == "brute":
-        return _product_brute(lam, mu, cap)
+        return _product_brute(lam, mu, sizes, cap)
     raise DomainError(f"unknown product method {method!r}")
 
 
@@ -203,11 +205,11 @@ def conjecture_probe(lam: Weight, mu: Weight, cap: int = 10**6) -> list[dict]:
     regrouped translated-point list.  Returns a (hopefully empty) list
     of counterexample records.
     """
-    _check_product_args(lam, mu, cap)
+    sizes = _check_product_args(lam, mu, cap)
     if lam.is_zero() or mu.is_zero():
         return []
     reports: list[dict] = []
-    decomp = _product_brute(lam, mu, cap).as_dict()
+    decomp = _product_brute(lam, mu, sizes, cap).as_dict()
     d, shifts = _shifts(lam, mu, cap)
     if is_strictly_dominant(mu):
         for s in shifts:
@@ -321,15 +323,7 @@ def _split_matrix(src: RootSystem, tgt: RootSystem) -> list[list[int]] | None:
     if first.series != "A":
         return None
     p = first.rank + 1
-    if src.series == "A":
-        ok = second.series == "A"
-    elif src.series == "C":
-        ok = second.series == "C"
-    elif src.series == "D":
-        ok = second.series == "D"
-    else:
-        ok = False
-    if not ok or second.rank != src.rank - p:
+    if src.series not in "ACD" or (second.series, second.rank) != (src.series, src.rank - p):
         return None
     rows = _identity_rows(src.rank)
     del rows[p - 1]
@@ -366,8 +360,6 @@ def branch_restrict(lam: Weight, proj: ProjectionMatrix, cap: int = 10**7) -> Or
         raise MismatchedSystem(
             f"{lam.rs.name} weight fed to a {proj.source.name} projection"
         )
-    if not is_dominant(lam):
-        raise DomainError("branching takes a dominant weight")
     d, points = _scaled_orbit(lam, cap)
     counts = Counter(
         tuple(sum(map(mul, row, p)) for row in proj.matrix) for p in points

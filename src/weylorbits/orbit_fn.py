@@ -29,8 +29,8 @@ import numpy as np
 from .cyclotomic import Cyc
 from .errors import DomainError, UnsupportedSeries, UnsupportedType
 from .root_system import RootSystem, factor_slices
-from .weights import Point, Weight, _same_system, _scale, from_orthogonal, inner_product
-from .weights import pairing, to_orthogonal
+from .weights import Point, Weight, _order, _same_system, _scale, from_orthogonal
+from .weights import inner_product, pairing, to_orthogonal
 from .weyl import Orbit, apply_matrix_to_point, group_elements, orbit, stabilizer_order
 
 
@@ -105,8 +105,7 @@ def eval_exact_cyc(f: OrbitFunction, x: Point, modulus: int | None = None) -> Cy
     if not x.exact:
         raise DomainError("cyclotomic evaluation needs an exact point")
     denom, counts = _residue_counts(f, x)
-    if modulus is None:
-        modulus = denom
+    modulus = denom if modulus is None else _order(modulus)
     if modulus % denom:
         raise DomainError(f"modulus {modulus} incompatible with denominator {denom}")
     step = modulus // denom
@@ -119,6 +118,8 @@ def eval_exact_cyc(f: OrbitFunction, x: Point, modulus: int | None = None) -> Cy
 def eval_many(f: OrbitFunction, coords: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (N, rank) array of point coordinates."""
     pts = np.asarray(coords, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != f.rs.rank:
+        raise DomainError(f"eval_many needs an (N, {f.rs.rank}) array, got shape {pts.shape}")
     weights_mat = np.array(
         [[float(c) for c in mu.coords] for mu in f.orbit.points], dtype=float
     )

@@ -24,6 +24,10 @@ coefficients of a function over separated weights are recovered exactly
 from the level-``m`` grid points of F in ``(1/m) Q^vee`` alone, each
 weighted by its torus orbit count ``|W| / |Stab|`` (Moody & Patera, Adv.
 Appl. Math. 47 (2011)); no lattice point is enumerated or reduced.
+
+Weights are checked once per call: system and integrality by
+``_check_weight``, dominance by the stabilizer as each orbit is sized.
+Separation contents are read from the orbit functions a call evaluates.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from operator import index, sub
-from typing import Callable, Iterator, Sequence
+from functools import reduce
+from operator import sub
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,9 +53,9 @@ from .errors import (
     UnsupportedType,
 )
 from .root_system import RootSystem
-from .weights import Point, Weight, is_dominant
+from .weights import Point, Weight, _order
 from .weyl import _scaled_orbit, orbit_size
-from .orbit_fn import eval_exact_cyc, eval_fn, eval_many, orbit_function
+from .orbit_fn import OrbitFunction, eval_exact_cyc, eval_fn, eval_many, orbit_function
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,8 @@ def build_quadrature(rs: RootSystem, level: int) -> QuadratureRule:
         raise UnsupportedType("quadrature is built per simple system")
     if rs.rank > 3:
         raise UnsupportedRank("quadrature covers rank 1 to 3")
-    level = _level(level)
+    level = _order(level)
     return _rule_cache.get((rs.name, level), lambda: _composite_rule(rs, level))
-
-
-def _level(level) -> int:
-    """A quadrature or Gram level as an int: an integer, not a bool, of at least 1."""
-    if isinstance(level, bool) or not hasattr(level, "__index__") or index(level) < 1:
-        raise DomainError(f"level must be a positive integer, not {level!r}")
-    return index(level)
 
 
 def _composite_rule(rs: RootSystem, level: int) -> QuadratureRule:
@@ -238,16 +235,15 @@ def orthogonality_gram(rs: RootSystem, lambdas: Sequence[Weight], level: int) ->
     systems.  Raises :class:`SeparationFailure` when ``M`` does not
     separate two weights, where the grid average would not be exact.
     """
-    level = _level(level)
-    for lam in lambdas:
-        _check_weight(rs, lam)
+    level = _order(level)
+    funcs = _orbit_functions(rs, lambdas)
+    _require_separated(funcs, level)
     grid = _torsion_ints(rs, level)
-    _require_separated(lambdas, level)
     nodes = np.array([v for v, _ in grid]) / level
     weights = np.array([count for _, count in grid], dtype=float) / level**rs.rank
-    block = np.empty((len(grid), len(lambdas)), dtype=complex)
-    for j, lam in enumerate(lambdas):
-        block[:, j] = eval_many(orbit_function(lam), nodes)
+    block = np.empty((len(grid), len(funcs)), dtype=complex)
+    for j, func in enumerate(funcs):
+        block[:, j] = eval_many(func, nodes)
     return block.conj().T @ (weights[:, None] * block)
 
 
@@ -257,48 +253,50 @@ def orthogonality_gram(rs: RootSystem, lambdas: Sequence[Weight], level: int) ->
 def _check_weight(rs: RootSystem, lam: Weight) -> None:
     if lam.rs != rs:
         raise MismatchedSystem(f"{lam.rs.name} weight in a {rs.name} transform")
-    if not is_dominant(lam):
-        raise DomainError("transform weights must be dominant")
     if any(c.denominator != 1 for c in lam.coords):
         raise DomainError("transform weights must be integral")
 
 
-def _contents(lambdas: Sequence[Weight]) -> Callable[[int, int], Iterator[int]]:
-    """``contents(i, j)`` yields the contents of ``lambda_i - nu``, ``nu`` in
-    ``O(lambda_j)`` but ``lambda_i``, each orbit enumerated once, on first
-    use.  All weights must be transform weights of one root system."""
+def _orbit_functions(rs: RootSystem, lambdas: Sequence[Weight]) -> list[OrbitFunction]:
+    """Check the transform weights, then enumerate each orbit once."""
     for lam in lambdas:
-        _check_weight(lambdas[0].rs, lam)
-    points = [tuple(map(int, lam.coords)) for lam in lambdas]
-    orbit = cache(lambda j: _scaled_orbit(lambdas[j])[1])  # integral: d = 1
-    return lambda i, j: (math.gcd(*map(sub, points[i], nu)) for nu in orbit(j) if nu != points[i])
+        _check_weight(rs, lam)
+    return [orbit_function(lam) for lam in lambdas]
 
 
-def _first_unseparated(lambdas: Sequence[Weight], m: int) -> tuple[Weight, Weight] | None:
+def _contents(funcs: Sequence[OrbitFunction]) -> dict[tuple[int, int], set[int]]:
+    """Per pair ``i <= j``, the contents of ``lambda_i - nu``, ``nu`` in
+    ``O(lambda_j)`` but ``lambda_i``, from the orbit functions' int points
+    (integral weights: ``d = 1``; each orbit starts at its weight)."""
+    pts = [f._scaled_points[1] for f in funcs]
+    return {(i, j): {math.gcd(*map(sub, pts[i][0], nu)) for nu in pts[j] if nu != pts[i][0]}
+            for i in range(len(pts)) for j in range(i, len(pts))}
+
+
+def _unseparated(funcs: Sequence[OrbitFunction], m: int) -> tuple[Weight, Weight] | None:
     """The first pair ``(a, b)``, ``b`` at or after ``a``, that ``m`` does
     not separate, or None: ``m`` divides a content of ``(a, a)``,
     ``(b, b)`` or ``(a, b)``."""
-    if m < 1:
-        raise DomainError("lattice order must be a positive integer")
-    contents, n = _contents(lambdas), len(lambdas)
-    hit = {(i, j): any(c % m == 0 for c in contents(i, j)) for i in range(n) for j in range(i, n)}
-    return next(((lambdas[i], lambdas[j]) for i, j in hit
+    hit = {ij: any(c % m == 0 for c in found) for ij, found in _contents(funcs).items()}
+    return next(((funcs[i].lam, funcs[j].lam) for i, j in hit
                  if hit[i, i] or hit[j, j] or hit[i, j]), None)
 
 
-def _require_separated(lambdas: Sequence[Weight], m: int) -> None:
-    pair = _first_unseparated(lambdas, m)
+def _first_unseparated(lambdas: Sequence[Weight], m: int) -> tuple[Weight, Weight] | None:
+    return _unseparated(_orbit_functions(lambdas[0].rs, lambdas), m)
+
+
+def _require_separated(funcs: Sequence[OrbitFunction], m: int) -> None:
+    pair = _unseparated(funcs, m)
     if pair is not None:
-        a, b = pair
         raise SeparationFailure(
-            f"order {m} does not separate {a.coords} and {b.coords}", pair=pair
-        )
+            f"order {m} does not separate {pair[0].coords} and {pair[1].coords}", pair=pair)
 
 
 def separates(lam: Weight, mu: Weight, m: int) -> bool:
     """Whether the order-``m`` lattice distinguishes the two orbits: no
     pair of distinct orbit points is congruent coordinate-wise mod m."""
-    return _first_unseparated([lam, mu], m) is None
+    return _first_unseparated([lam, mu], _order(m)) is None
 
 
 def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
@@ -306,8 +304,7 @@ def minimal_separating_m(lambdas: Sequence[Weight]) -> int:
     weight against itself): the least ``m`` dividing no content."""
     if not lambdas:
         raise DomainError("need at least one weight")
-    contents, n = _contents(lambdas), len(lambdas)
-    found = {c for i in range(n) for j in range(i, n) for c in contents(i, j)}
+    found = set().union(*_contents(_orbit_functions(lambdas[0].rs, lambdas)).values())
     return next(m for m in range(1, max(found, default=0) + 2) if all(c % m for c in found))
 
 
@@ -316,14 +313,16 @@ def tm_scalar_product(lam: Weight, mu: Weight, m: int, cap: int = 10**7) -> Cyc:
     ``m**rank |O(lam)|`` times the number of ``nu`` in ``O(mu)`` congruent
     to ``lam`` mod ``m``.  ``cap`` bounds ``m**rank``, the lattice the sum
     is defined over."""
-    if m < 1:
-        raise DomainError("lattice order must be a positive integer")
-    contents = _contents([lam, mu])(0, 1)
+    m = _order(m)
+    for weight in (lam, mu):
+        _check_weight(lam.rs, weight)
+    size, orbit = orbit_size(lam), _scaled_orbit(mu)[1]  # integral: d = 1
     points = m**lam.rs.rank
     if points > cap:
         raise CapExceeded(f"lattice would have {points} points")
-    congruent = sum(c % m == 0 for c in contents) + (lam.coords == mu.coords)
-    return Cyc.from_rational(m, points * orbit_size(lam) * congruent)
+    a = tuple(map(int, lam.coords))
+    congruent = sum(all((x - y) % m == 0 for x, y in zip(a, nu)) for nu in orbit)
+    return Cyc.from_rational(m, points * size * congruent)
 
 
 def finite_forward(
@@ -343,25 +342,25 @@ def finite_forward(
     """
     if not lambdas:
         raise DomainError("need at least one weight")
-    _require_separated(lambdas, m)
-    rs = lambdas[0].rs
+    m, rs = _order(m), lambdas[0].rs
+    funcs = _orbit_functions(rs, lambdas)
+    _require_separated(funcs, m)
     pts = torsion_grid(rs, m, cap)
     values = [f(x) for x, _ in pts]
     exact = all(isinstance(v, (int, Fraction, Cyc)) and not isinstance(v, bool) for v in values)
     values = values if exact else [complex(v) for v in values]
     entries = []
-    for lam in lambdas:
-        func = orbit_function(lam)
+    for func in funcs:
         acc = Cyc.zero(m) if exact else complex(0)
         for (x, count), v in zip(pts, values):
             phi_bar = (eval_exact_cyc(func, x, modulus=m).conj() if exact
                        else eval_fn(func, x).conjugate())
             acc = acc + count * v * phi_bar
-        size = m**rs.rank * orbit_size(lam)
+        size = m**rs.rank * func.orbit.size
         coeff = acc * Fraction(1, size) if exact else acc / size
         if exact and coeff.is_rational():
             coeff = coeff.as_rational()
-        entries.append(SpectrumEntry(lam, coeff))
+        entries.append(SpectrumEntry(func.lam, coeff))
     return _sorted_spectrum(entries)
 
 
@@ -371,6 +370,7 @@ def synthesize_spectrum(spectrum: Sequence[SpectrumEntry], m: int | None = None)
     With ``m`` given and rational coefficients the result is an exact
     cyclotomic value; otherwise complex.
     """
+    m = None if m is None else _order(m)
     terms = [(e, orbit_function(e.weight)) for e in spectrum]
     rational = all(isinstance(e.coeff, (int, Fraction)) for e in spectrum)
 

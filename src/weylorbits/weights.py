@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from numbers import Rational
+from operator import index
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -50,6 +51,13 @@ def exact(value) -> Fraction:
         if len(_SHARED) < _SHARED_MAX:
             _SHARED[f] = f
     return f
+
+
+def _order(value) -> int:
+    """An order, level or modulus as an int: an index, not a bool, of at least 1."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or index(value) < 1:
+        raise DomainError(f"expected a positive integer order or level, got {value!r}")
+    return index(value)
 
 
 # The integer kernel: Cartan matrices are integral and reflections linear,

@@ -390,11 +390,42 @@ def test_readme_library_values():
         pytest.fail(f"only {compared} README values compared")
 
 
+def _defined_names(stmt) -> list[str]:
+    """Names a module-level statement defines: a def, a class or a plain
+    assignment target."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def test_library_raises_errors_not_asserts():
     """Failures in the library are raised as errors, which ``python -O``
-    keeps and the CLI reports; an ``assert`` statement would be stripped."""
+    keeps and the CLI reports; an ``assert`` statement would be stripped.
+    The same scan finds dead code: an import its module never reads (the
+    package ``__init__`` imports to re-export), and a private module-level
+    name that no library module refers to."""
     src = Path(__file__).resolve().parents[1] / "src" / "weylorbits"
-    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
-    if found:
-        pytest.fail(f"assert statements in the library: {found}")
+    asserts, unused, private, refs = [], [], {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        asserts += [f"{path.name}:{n.lineno}" for n in nodes if isinstance(n, ast.Assert)]
+        loads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        refs |= loads | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        for n in nodes:
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", "") != "__future__":
+                refs |= {a.name for a in n.names}
+                unused += [f"{path.name}:{n.lineno} {a.asname or a.name.split('.')[0]}"
+                           for a in n.names if path.name != "__init__.py"
+                           and (a.asname or a.name.split(".")[0]) not in loads]
+        private |= {name: f"{path.name}:{stmt.lineno} {name}" for stmt in tree.body
+                    for name in _defined_names(stmt)
+                    if name.startswith("_") and not name.startswith("__")}
+    if asserts:
+        pytest.fail(f"assert statements in the library: {asserts}")
+    if unused:
+        pytest.fail(f"unused imports in the library: {unused}")
+    dead = [where for name, where in private.items() if name not in refs]
+    if dead:
+        pytest.fail(f"private names no library module refers to: {dead}")

@@ -176,6 +176,15 @@ def test_eval_paths_agree(rng):
             assert abs(exact - batch[0]) < 1e-9
 
 
+@pytest.mark.parametrize("coords", [np.zeros((4, 3)), np.zeros(2), 0.5, np.zeros((2, 2, 2))],
+                         ids=["three-columns", "one-axis", "scalar", "three-axes"])
+def test_eval_many_needs_n_by_rank_coordinates(coords):
+    f = orbit_function(w.weight(w.root_system("A2"), (1, 0)))
+    with pytest.raises(w.DomainError, match=r"\(N, 2\) array"):
+        eval_many(f, coords)
+    assert eval_many(f, np.zeros((0, 2))).shape == (0,)
+
+
 def test_value_at_zero_is_orbit_size():
     for name, lam in [("A2", (1, 1)), ("C2", (2, 1)), ("G2", (1, 0))]:
         rs = w.root_system(name)

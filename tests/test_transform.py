@@ -110,15 +110,18 @@ def test_quadrature_errors():
 
 @pytest.mark.parametrize("level", [2.5, "3", True, 0, -2])
 def test_levels_must_be_positive_integers(level):
-    """Every float-path level goes through one check: an integer by
-    ``operator.index``, not a bool, and at least 1."""
+    """Every quadrature and grid level goes through one check: an integer
+    by ``operator.index``, not a bool, and at least 1."""
     rs = w.root_system("A2")
     ones = lambda pts: np.ones(len(pts))
     for call in (lambda: build_quadrature(rs, level),
                  lambda: quadrature_integrate(rs, ones, level),
                  lambda: forward_transform(rs, ones, [_wt("A2", (1, 0))], level),
                  lambda: plancherel(rs, [], ones, level),
-                 lambda: orthogonality_gram(rs, [_wt("A2", (1, 0))], level)):
+                 lambda: orthogonality_gram(rs, [_wt("A2", (1, 0))], level),
+                 lambda: w.grid_fm(rs, level),
+                 lambda: affine.torsion_grid(rs, level),
+                 lambda: w.rational_elements(rs, level)):
         with pytest.raises(w.DomainError, match="positive integer"):
             call()
 
@@ -461,11 +464,17 @@ def test_minimal_separating_m_large_orbits(name, coords, m):
     assert separates(lam, lam, m) and not separates(lam, lam, m - 1)
 
 
-@pytest.mark.parametrize("m", [0, -4])
+@pytest.mark.parametrize("m", [0, -4, 2.5, "3", True, -2])
 def test_lattice_orders_below_one(m):
+    """Lattice orders and moduli below 1, or not integers, raise the same
+    error as levels."""
     lam = _wt("A2", (1, 0))
+    x = w.point(lam.rs, (F(1, 3), F(1, 3)))
     for call in (lambda: separates(lam, lam, m), lambda: tm_scalar_product(lam, lam, m),
-                 lambda: finite_forward(lambda x: 1, [lam], m)):
+                 lambda: finite_forward(lambda x: 1, [lam], m),
+                 lambda: synthesize_spectrum([SpectrumEntry(lam, F(1))], m),
+                 lambda: eval_exact_cyc(orbit_function(lam), x, modulus=m),
+                 lambda: w.lattice_tm(lam.rs, m)):
         with pytest.raises(w.DomainError, match="positive integer"):
             call()
 

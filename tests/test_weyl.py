@@ -1,5 +1,8 @@
 """Orbit enumeration against hand-checked point lists."""
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +73,64 @@ def test_orbit_requires_dominant():
     rs = w.root_system("A2")
     with pytest.raises(w.DomainError):
         w.orbit(w.weight(rs, (-1, 2)))
+
+
+def _a2_set():
+    rs = w.root_system("A2")
+    return rs, [w.weight(rs, c) for c in ((1, 0), (0, 1), (1, 1))]
+
+
+_B3 = w.root_system("B3")
+_GATED_CALLS = {
+    "gram": lambda: w.orthogonality_gram(*_a2_set(), 48),
+    "finite_forward": lambda: w.finite_forward(lambda x: 1, _a2_set()[1], 12),
+    "tm_scalar_product": lambda: w.tm_scalar_product(*_a2_set()[1][1:], 12),
+    "product_auto": lambda: w.product(w.weight(_B3, (1, 0, 2)), w.weight(_B3, (0, 1, 1))),
+    "product_brute": lambda: w.product(w.weight(_B3, (1, 0, 2)), w.weight(_B3, (0, 1, 1)),
+                                       method="brute"),
+    "branch": lambda: w.branch_restrict(w.weight(_B3, (1, 0, 2)), w.builtin_projection("B3->C2")),
+}
+
+
+@pytest.mark.parametrize("call,orbits,checks", [
+    ("gram", 3, 3),
+    ("finite_forward", 3, 3),
+    ("tm_scalar_product", 1, 2),
+    ("product_auto", 1, 3),
+    ("product_brute", 2, 4),
+    ("branch", 1, 1),
+])
+def test_each_weight_checked_and_enumerated_once(monkeypatch, call, orbits, checks):
+    """Only the stabilizer checks dominance, once per sized orbit, and a
+    call enumerates each orbit it reads once: ``_scaled_orbit`` and
+    ``is_dominant`` are counted wherever a library module imports them."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("weylorbits.")]:
+        for name in ("_scaled_orbit", "is_dominant"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    _GATED_CALLS[call]()
+    assert counts == {"_scaled_orbit": orbits, "is_dominant": checks}
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: w.product(lam, lam),
+    lambda lam: w.product(lam, lam, method="brute"),
+    lambda lam: w.branch_restrict(lam, w.builtin_projection("A2->A1")),
+    lambda lam: w.orthogonality_gram(lam.rs, [lam], 5),
+    lambda lam: w.finite_forward(lambda x: 1, [lam], 5),
+    lambda lam: w.tm_scalar_product(lam, lam, 5),
+], ids=["product", "brute", "branch", "gram", "finite_forward", "tm_scalar_product"])
+def test_non_dominant_weights_meet_the_stabilizer_check(call):
+    with pytest.raises(w.DomainError, match="start from a dominant weight"):
+        call(w.weight(w.root_system("A2"), (-1, 2)))
 
 
 def test_orbit_scaling_covariance():
